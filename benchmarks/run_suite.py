@@ -422,7 +422,7 @@ def _transport_cell(problem, workers: int, wire: str, rounds: int, repeats: int)
             if wire == "tcp":
                 pids = transport.agent_pids()
             else:
-                pids = [process.pid for process, _ in transport._workers]
+                pids = transport.worker_pids()
             memory = _worker_memory_kb(pids)
             transport.release(session)
     finally:

@@ -88,10 +88,14 @@ class TransportConfig:
         recovery, and graceful degradation to in-process execution.  Results
         stay bit-identical to the unsupervised pool (and to in-process).
     max_restarts:
-        Restart budget per worker failure under supervision (``0`` disables
-        restarts: the first crash degrades immediately).
+        Restart budget *per failure* of a supervised process pool or a
+        ``"tcp"`` cluster: each lost worker or agent may be respawned up to
+        this many times, and the next failure gets the full budget again.
+        ``0`` disables restarts: a crash the backend cannot otherwise absorb
+        (a TCP survivor takeover needs no restart) degrades at once.
     restart_backoff_s:
-        Base delay of the supervisor's exponential restart backoff.
+        Base delay of the supervised pool's exponential restart backoff
+        (TCP respawns wait for agent registration instead).
     shared_memory:
         With ``kind="process"``, ship the problem's large constraint arrays
         through POSIX shared-memory segments (zero-copy: every worker maps

@@ -51,10 +51,9 @@ from ..core.result import ResourceUsage, SolveResult, WarmStats
 from ..resilience.faults import recovery_scope
 from ..fabric import shm
 from ..fabric.transport import (
-    ProcessPoolTransport,
     Transport,
     pinned_transport,
-    shared_process_transport,
+    resolve_transport,
 )
 from .config import SolverConfig
 from .facade import build_config
@@ -487,65 +486,22 @@ class Session:
         self._shm_token: Optional[str] = None
         if (
             transport_cfg is not None
-            and transport_cfg.kind == "process"
-            and "process" in self.spec.transports
+            and transport_cfg.kind != "inprocess"
+            and transport_cfg.kind in self.spec.transports
         ):
-            supervised = bool(getattr(transport_cfg, "supervised", False))
-            shared_memory = bool(getattr(transport_cfg, "shared_memory", True))
-            if transport_cfg.reuse_pool:
-                self._transport = shared_process_transport(
-                    transport_cfg.max_workers,
-                    transport_cfg.start_method,
-                    supervised=supervised,
-                    shared_memory=shared_memory,
-                )
-            else:
-                if supervised:
-                    from ..resilience.retry import RetryPolicy
-                    from ..resilience.supervisor import SupervisedProcessPoolTransport
-
-                    pool: ProcessPoolTransport = SupervisedProcessPoolTransport(
-                        max_workers=transport_cfg.max_workers,
-                        start_method=transport_cfg.start_method,
-                        shared_memory=shared_memory,
-                        restart_policy=RetryPolicy(
-                            max_attempts=transport_cfg.max_restarts,
-                            backoff_s=transport_cfg.restart_backoff_s,
-                        ),
-                    )
-                else:
-                    pool = ProcessPoolTransport(
-                        max_workers=transport_cfg.max_workers,
-                        start_method=transport_cfg.start_method,
-                        shared_memory=shared_memory,
-                    )
-                self._transport = pool
-                self._owns_transport = True
-            if self._warm_tracking:
+            # A dedicated transport (reuse_pool=False, or explicit agent
+            # addresses) is session-private: the session owns teardown, so
+            # the per-run flag is cleared and no topology closes it after
+            # one solve.  Shared transports stay with their registry.
+            self._transport = resolve_transport(transport_cfg)
+            self._owns_transport = self._transport.private
+            self._transport.private = False
+            if transport_cfg.kind == "process" and self._warm_tracking:
+                # The TCP wire ships plain pickles: only pools export shm.
                 self._shm_token = shm.new_pin_token()
-            if self._warm_tracking:
-                # Explicit sessions pay spin-up now; ephemeral shims leave
-                # shared pools lazy (the first solve starts them, exactly as
-                # the one-shot facade always has).
-                self._transport.warm_up()
-            elif self._owns_transport:
-                self._transport.warm_up()
-        elif (
-            transport_cfg is not None
-            and transport_cfg.kind == "tcp"
-            and "tcp" in self.spec.transports
-        ):
-            # Same pinning rules as the process pool, but cluster-backed: no
-            # shm pin token (the TCP wire ships plain pickles), and explicit
-            # agent addresses always make the cluster session-private.
-            from ..cluster.transport import resolve_tcp_transport
-
-            self._transport = resolve_tcp_transport(transport_cfg)
-            self._owns_transport = bool(getattr(self._transport, "private", False))
-            if self._owns_transport:
-                # The session owns teardown now; clear the per-run flag so
-                # the topology does not close the cluster after one solve.
-                self._transport.private = False
+            # Explicit sessions pay spin-up now; ephemeral shims leave shared
+            # transports lazy (the first solve starts them, exactly as the
+            # one-shot facade always has).
             if self._warm_tracking or self._owns_transport:
                 self._transport.warm_up()
 

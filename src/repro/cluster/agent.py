@@ -7,30 +7,26 @@ coordinator can open outbound connections).  Either way the agent speaks
 first: it sends ``hello``, the registry answers ``welcome`` (assigning the
 agent id and the heartbeat interval) or ``reject``.
 
-After registration the agent runs the *same* command loop as the process
-pool's :func:`~repro.fabric.transport._worker_main` — ``share`` / ``init`` /
-``run`` / ``ping`` / ``release`` / ``stop`` with identical state semantics
-(states keyed by ``(session, node_id)``, RNGs resident in the state, task
-functions cached per pickle, args/results through the pickle-free
-:mod:`~repro.fabric.wirecodec`) — so a solve lands bit-identically whether
-its nodes live in a local worker or across the network.  A daemon heartbeat
-thread pushes ``("hb", seq)`` frames on the same socket at the negotiated
-interval; the send lock in :class:`~repro.cluster.protocol.FrameConnection`
-keeps heartbeat and reply frames from tearing each other.
+After registration the agent runs the process pool's program — a
+:class:`~repro.fabric.runtime.NodeRuntime` serving ``share`` / ``init`` /
+``run`` / ``ping`` / ``release`` / ``stop`` over the framed socket — so a
+solve lands bit-identically whether its nodes live in a local worker or
+across the network.  The agent itself only registers and keeps a daemon
+heartbeat thread pushing ``("hb", seq)`` frames on the same socket at the
+negotiated interval; the send lock in
+:class:`~repro.cluster.protocol.FrameConnection` keeps heartbeat and reply
+frames from tearing each other.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import socket
 import threading
-import traceback
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .protocol import FrameConnection, HandshakeError, hello_message
-from ..fabric import wirecodec
-from ..fabric.transport import _resolve_shared
+from ..fabric.runtime import NodeRuntime
 
 __all__ = ["NodeAgent"]
 
@@ -94,7 +90,7 @@ class NodeAgent:
             except OSError:
                 return
 
-    # -- the command loop --------------------------------------------------
+    # -- serving -----------------------------------------------------------
 
     def _serve(self, conn: FrameConnection) -> int:
         interval = self._register(conn)
@@ -105,63 +101,10 @@ class NodeAgent:
             daemon=True,
         )
         beater.start()
-
-        states: Dict[Tuple[str, int], Any] = {}
-        shared: Dict[Tuple[str, str], Any] = {}
-        fn_cache: Dict[bytes, Any] = {}
         try:
-            while True:
-                try:
-                    message = conn.recv(timeout=None)
-                except (EOFError, wirecodec.TruncatedFrameError, OSError):
-                    return 0  # coordinator went away: nothing left to serve
-                command = message[0]
-                if command == "stop":
-                    try:
-                        conn.send(("ok", None))
-                    except OSError:
-                        pass
-                    return 0
-                try:
-                    if command == "share":
-                        _, session, key, value_bytes = message
-                        shared[(session, key)] = pickle.loads(value_bytes)
-                        conn.send(("ok", None))
-                    elif command == "init":
-                        _, session, node_id, state_bytes = message
-                        states[(session, node_id)] = _resolve_shared(
-                            wirecodec.loads(state_bytes), shared, session
-                        )
-                        conn.send(("ok", None))
-                    elif command == "run":
-                        _, session, tasks = message
-                        results = []
-                        for node_id, fn_bytes, args_bytes in tasks:
-                            fn = fn_cache.get(fn_bytes)
-                            if fn is None:
-                                fn = fn_cache[fn_bytes] = pickle.loads(fn_bytes)
-                            args = wirecodec.loads(args_bytes)
-                            state_key = (session, node_id)
-                            state, result = fn(states[state_key], *args)
-                            states[state_key] = state
-                            results.append(wirecodec.dumps(result))
-                        conn.send(("ok", results))
-                    elif command == "ping":
-                        conn.send(("ok", "pong"))
-                    elif command == "release":
-                        _, session = message
-                        for state_key in [k for k in states if k[0] == session]:
-                            del states[state_key]
-                        for shared_key in [k for k in shared if k[0] == session]:
-                            del shared[shared_key]
-                        conn.send(("ok", None))
-                    else:
-                        conn.send(("error", f"unknown command {command!r}"))
-                except BaseException:
-                    try:
-                        conn.send(("error", traceback.format_exc()))
-                    except OSError:
-                        return 0
+            # Returns on "stop" or when the coordinator goes away.
+            NodeRuntime().serve(conn)
+            return 0
         finally:
             self._stop.set()
             conn.close()

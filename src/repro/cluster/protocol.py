@@ -23,6 +23,8 @@ registry -> agent   ``("ping",)``                                   ``("ok", "po
 registry -> agent   ``("stop",)``                                   ``("ok", None)``, then the agent exits
 ==================  =============================================  =========
 
+The ``share`` … ``stop`` rows are the :class:`~repro.fabric.runtime.NodeRuntime`
+command set, which process-pool workers also answer over their pipes.
 A task error inside the agent answers ``("error", traceback)`` instead of
 ``("ok", ...)`` — user code raising is *not* an infrastructure fault, exactly
 as on the process pool.  Heartbeats are pushed by the agent on the same
@@ -116,18 +118,11 @@ class FrameConnection:
     """
 
     def __init__(self, sock: socket.socket) -> None:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._send_lock = threading.Lock()
         self._closed = False
-
-    @property
-    def peer(self) -> str:
-        try:
-            host, port = self._sock.getpeername()[:2]
-            return f"{host}:{port}"
-        except OSError:
-            return "<closed>"
 
     def send(self, message: Any) -> None:
         data = wirecodec.frame(wirecodec.dumps(message))

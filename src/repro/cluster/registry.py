@@ -20,9 +20,10 @@ node agents.  Structure:
   instead of hanging.
 
 The registry is transport-agnostic infrastructure: it raises its own
-:class:`MemberDead`; :class:`repro.cluster.transport.TcpTransport` converts
-that into the resilience layer's typed ``TransportFailure(retryable=True)``
-and drives journal-replay recovery.
+:class:`MemberDead`; the member channels of
+:class:`repro.cluster.transport.TcpTransport` convert that into a typed
+``TransportFailure(retryable=True)`` and the journaled transport drives
+journal-replay recovery.
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ class ClusterRegistry:
         heartbeat_timeout_s: float = 2.0,
         registration_timeout_s: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
-        on_death: Optional[Callable[[str, str], None]] = None,
     ) -> None:
         self.heartbeat_interval_s = float(heartbeat_interval_s)
         self.monitor = HeartbeatMonitor(
@@ -95,7 +95,6 @@ class ClusterRegistry:
             registration_timeout_s=registration_timeout_s,
             clock=clock,
         )
-        self._on_death = on_death
         self._lock = threading.Lock()
         self._members: Dict[str, Member] = {}
         self._ids = itertools.count(1)
@@ -221,16 +220,11 @@ class ClusterRegistry:
                 member.replies.put(message)
 
     def _member_lost(self, member: Member, reason: str) -> None:
-        newly = self.monitor.mark_dead(member.member_id, reason)
+        self.monitor.mark_dead(member.member_id, reason)
         member.failed = True
         member.fail_reason = member.fail_reason or reason
         member.replies.put(_DEAD)
         member.conn.close()
-        if newly and self._on_death is not None:
-            try:
-                self._on_death(member.member_id, reason)
-            except Exception:  # pragma: no cover - observer must not kill reader
-                pass
 
     def _monitor_loop(self) -> None:
         interval = max(0.05, self.heartbeat_interval_s / 2.0)
@@ -251,12 +245,7 @@ class ClusterRegistry:
         return member
 
     def lock(self, member_id: str) -> threading.RLock:
-        """The member's RPC lock — hold it across a ``post``/``take`` pair.
-
-        Reentrant on purpose: the transport pins several node slots to one
-        member and acquires per-slot, so one thread may take the same
-        member's lock more than once.
-        """
+        """The member's RPC lock — hold it across a ``post``/``take`` pair."""
         return self._member(member_id).rpc_lock
 
     def post(self, member_id: str, message: tuple) -> None:

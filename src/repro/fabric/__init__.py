@@ -7,8 +7,11 @@ substrates:
   bit size is *measured from the serialized form*, never declared by callers;
 * :mod:`repro.fabric.transport` — how node-local computation executes and how
   payloads move: :class:`InProcessTransport` (deterministic, zero-copy,
-  default) and :class:`ProcessPoolTransport` (real multiprocess workers,
-  bit-identical results to in-process);
+  default) and the journaled transport over remote node runtimes, whose
+  :class:`ProcessPoolTransport` backend runs real multiprocess workers
+  (bit-identical results to in-process);
+* :mod:`repro.fabric.runtime` — the one node program every worker process
+  and cluster agent runs (:class:`~repro.fabric.runtime.NodeRuntime`);
 * :mod:`repro.fabric.topology` — who talks to whom and when: star and
   tree-aggregation coordinator topologies, the round-synchronous MPC grid,
   and the single-reader stream, all feeding one shared

@@ -53,7 +53,8 @@ from repro.cluster.protocol import (
 from repro.core.exceptions import CommunicationError
 from repro.fabric import wirecodec
 from repro.fabric.transport import InProcessTransport
-from repro.resilience import FaultPlan, FaultSpec
+from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
+from repro.resilience.supervisor import SupervisedProcessPoolTransport
 
 SOLVE_KWARGS = dict(
     seed=11,
@@ -467,6 +468,41 @@ class TestTcpRecovery:
                 )
             assert outputs == expected
             assert transport.total_restarts >= 1
+            assert not transport.degraded
+        finally:
+            transport.close()
+            reference.close()
+
+    @pytest.mark.parametrize("backend", ["process", "tcp"])
+    def test_restart_budget_applies_per_failure(self, backend):
+        """One restart per failure heals two SIGKILLs one batch apart, on
+        both backends of the shared recovery code."""
+        reference = InProcessTransport()
+        expected = _run_rounds(reference, "budget", nodes=2, rounds=3)
+        if backend == "tcp":
+            transport = TcpTransport(
+                max_workers=1,
+                heartbeat_interval_s=0.2,
+                heartbeat_timeout_s=2.0,
+                max_restarts=1,
+            )
+            kill = transport.kill_agent
+        else:
+            transport = SupervisedProcessPoolTransport(
+                max_workers=1, restart_policy=RetryPolicy(max_attempts=1, backoff_s=0.0)
+            )
+            kill = transport.kill_worker
+        try:
+            outputs = _run_rounds(transport, "budget", nodes=2, rounds=1)
+            for round_index in (1, 2):
+                kill(0)
+                outputs.append(
+                    transport.run_nodes(
+                        "budget", [0, 1], counter_task, [(round_index + 1,)] * 2
+                    )
+                )
+            assert outputs == expected
+            assert transport.total_restarts == 2
             assert not transport.degraded
         finally:
             transport.close()

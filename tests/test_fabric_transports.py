@@ -285,6 +285,39 @@ class TestPrivatePoolLifecycle:
         assert_bit_identical(a, b)
 
 
+class TestSharedTransports:
+    def test_shared_supervised_pool_honours_restart_settings(self):
+        """Shared and dedicated pools built from one config restart alike,
+        and configs differing only in restart settings do not share."""
+        from dataclasses import replace
+
+        from repro.fabric.transport import resolve_transport
+
+        config = TransportConfig(
+            kind="process", max_workers=1, supervised=True, max_restarts=0
+        )
+        shared = resolve_transport(config)
+        dedicated = resolve_transport(replace(config, reuse_pool=False))
+        try:
+            assert shared.restart_policy.max_attempts == 0
+            assert shared.restart_policy == dedicated.restart_policy
+            assert resolve_transport(replace(config, max_restarts=2)) is not shared
+            assert resolve_transport(config) is shared
+        finally:
+            dedicated.close()
+
+    def test_closed_shared_pool_is_replaced(self):
+        from repro.fabric.transport import shared_process_transport
+
+        pool = shared_process_transport(1)
+        pool.close()
+        fresh = shared_process_transport(1)
+        assert fresh is not pool
+        fresh.init_node("reopened", 0, {"count": 1})
+        assert fresh.run_node("reopened", 0, _increment_task, 2) == 3
+        fresh.release("reopened")
+
+
 def _maybe_fail_task(state, should_fail):
     if should_fail:
         raise RuntimeError("deliberate batch failure")

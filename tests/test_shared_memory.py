@@ -243,7 +243,7 @@ class TestLeakSurface:
             transport.init_shared("s", "problem", problem)
             assert shm.store().segment_names()  # the export is live
             for worker in range(2):
-                process, _ = transport._workers[worker]
+                process = transport._channels[worker].process
                 process.kill()
                 process.join(timeout=5)
         finally:
