@@ -10,22 +10,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms import coordinator_clarkson_solve
 from repro.workloads import random_polytope_lp
 
-from conftest import emit_row, record, solver_params
+from conftest import emit_row, facade_solve, record
 
 
 @pytest.mark.parametrize("n", [2000, 8000])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_coordinator_lp_rounds_and_communication(benchmark, n, r):
     instance = random_polytope_lp(n, 2, seed=n * 7 + r)
-    params = solver_params(instance.problem, r=r)
-
     def run():
-        return coordinator_clarkson_solve(
-            instance.problem, num_sites=8, r=r, params=params, rng=5
-        )
+        return facade_solve(instance.problem, "coordinator", r=r, seed=5, num_sites=8)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     d = instance.problem.dimension
@@ -57,11 +52,9 @@ def test_coordinator_lp_rounds_and_communication(benchmark, n, r):
 def test_coordinator_lp_site_sweep(benchmark, num_sites):
     """Communication grows only additively in the number of sites k."""
     instance = random_polytope_lp(6000, 2, seed=num_sites)
-    params = solver_params(instance.problem, r=2)
-
     def run():
-        return coordinator_clarkson_solve(
-            instance.problem, num_sites=num_sites, r=2, params=params, rng=9
+        return facade_solve(
+            instance.problem, "coordinator", r=2, seed=9, num_sites=num_sites
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -14,21 +14,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms import coordinator_clarkson_solve, streaming_clarkson_solve
 from repro.lower_bounds import sample_hard_instance, tci_to_linear_program
 from repro.lower_bounds.tci import lp_optimum_to_index
 
-from conftest import emit_row, record, solver_params
+from conftest import emit_row, facade_solve, record
 
 
 @pytest.mark.parametrize("r", [1, 2])
 def test_streaming_space_vs_lower_bound(benchmark, r):
     hard = sample_hard_instance(branching=20, rounds=2, seed=4)  # n = 400 points
     lp = tci_to_linear_program(hard.instance)
-    params = solver_params(lp, r=r)
-
     def run():
-        return streaming_clarkson_solve(lp, r=r, params=params, rng=2)
+        return facade_solve(lp, "streaming", r=r, seed=2)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     n = lp.num_constraints
@@ -53,10 +50,8 @@ def test_streaming_space_vs_lower_bound(benchmark, r):
 def test_coordinator_communication_vs_lower_bound(benchmark, r):
     hard = sample_hard_instance(branching=20, rounds=2, seed=5)
     lp = tci_to_linear_program(hard.instance)
-    params = solver_params(lp, r=r)
-
     def run():
-        return coordinator_clarkson_solve(lp, num_sites=2, r=r, params=params, rng=3)
+        return facade_solve(lp, "coordinator", r=r, seed=3, num_sites=2)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     n = lp.num_constraints

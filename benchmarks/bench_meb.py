@@ -4,15 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms import (
-    coordinator_clarkson_solve,
-    mpc_clarkson_solve,
-    streaming_clarkson_solve,
-)
 from repro.problems import MinimumEnclosingBall
 from repro.workloads import clustered_points
 
-from conftest import emit_row, record, solver_params
+from conftest import emit_row, facade_solve, record
 
 
 @pytest.fixture(scope="module")
@@ -25,10 +20,8 @@ def meb_instance():
 
 def test_meb_streaming(benchmark, meb_instance):
     problem, exact = meb_instance
-    params = solver_params(problem, r=2)
-
     def run():
-        return streaming_clarkson_solve(problem, r=2, params=params, rng=1)
+        return facade_solve(problem, "streaming", r=2, seed=1)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     emit_row(
@@ -44,10 +37,8 @@ def test_meb_streaming(benchmark, meb_instance):
 
 def test_meb_coordinator(benchmark, meb_instance):
     problem, exact = meb_instance
-    params = solver_params(problem, r=2)
-
     def run():
-        return coordinator_clarkson_solve(problem, num_sites=8, r=2, params=params, rng=2)
+        return facade_solve(problem, "coordinator", r=2, seed=2, num_sites=8)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     emit_row(
@@ -63,10 +54,8 @@ def test_meb_coordinator(benchmark, meb_instance):
 
 def test_meb_mpc(benchmark, meb_instance):
     problem, exact = meb_instance
-    params = solver_params(problem, r=2)
-
     def run():
-        return mpc_clarkson_solve(problem, delta=0.5, num_machines=16, params=params, rng=3)
+        return facade_solve(problem, "mpc", r=2, seed=3, delta=0.5, num_machines=16)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     emit_row(

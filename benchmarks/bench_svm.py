@@ -8,14 +8,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms import (
-    coordinator_clarkson_solve,
-    mpc_clarkson_solve,
-    streaming_clarkson_solve,
-)
 from repro.workloads import make_separable_classification, svm_problem
 
-from conftest import emit_row, record, solver_params
+from conftest import emit_row, facade_solve, record
 
 
 @pytest.fixture(scope="module")
@@ -28,10 +23,8 @@ def svm_instance():
 
 def test_svm_streaming(benchmark, svm_instance):
     problem, exact = svm_instance
-    params = solver_params(problem, r=2)
-
     def run():
-        return streaming_clarkson_solve(problem, r=2, params=params, rng=1)
+        return facade_solve(problem, "streaming", r=2, seed=1)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     emit_row(
@@ -47,10 +40,8 @@ def test_svm_streaming(benchmark, svm_instance):
 
 def test_svm_coordinator(benchmark, svm_instance):
     problem, exact = svm_instance
-    params = solver_params(problem, r=2)
-
     def run():
-        return coordinator_clarkson_solve(problem, num_sites=8, r=2, params=params, rng=2)
+        return facade_solve(problem, "coordinator", r=2, seed=2, num_sites=8)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     emit_row(
@@ -66,10 +57,8 @@ def test_svm_coordinator(benchmark, svm_instance):
 
 def test_svm_mpc(benchmark, svm_instance):
     problem, exact = svm_instance
-    params = solver_params(problem, r=2)
-
     def run():
-        return mpc_clarkson_solve(problem, delta=0.5, num_machines=16, params=params, rng=3)
+        return facade_solve(problem, "mpc", r=2, seed=3, delta=0.5, num_machines=16)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     emit_row(

@@ -27,9 +27,10 @@ Cross-model comparisons and batches::
     batch = solve_many([instance.problem] * 10, model="mpc", root_seed=0)
     print(batch.resources_total().rounds)
 
-``available_models()`` / ``describe_model(name)`` introspect the registry;
-the legacy per-model entry points (``streaming_clarkson_solve``, ...) remain
-as deprecated shims.
+``available_models()`` / ``describe_model(name)`` introspect the registry.
+Version 2.0 removed the deprecated per-model entry points and their
+parameter record; every model is reached through :func:`solve` (see
+``docs/api.md``, "Removed in 2.0").
 """
 
 from .algorithms import (
@@ -37,13 +38,10 @@ from .algorithms import (
     chan_chen_pass_count,
     clarkson_classic_reweighting,
     clarkson_pass_count,
-    coordinator_clarkson_solve,
     exact_in_memory,
     machines_for_load,
-    mpc_clarkson_solve,
     ship_all_coordinator,
     single_pass_full_memory_streaming,
-    streaming_clarkson_solve,
 )
 from .api import (
     BatchResult,
@@ -74,11 +72,9 @@ from .api import (
 from .api.session import session
 from .core import (
     BasisResult,
-    ClarksonParameters,
     CommunicationSummary,
     LPTypeProblem,
     SolveResult,
-    clarkson_solve,
 )
 from .core.budget import ResourceBudget
 from .core.exceptions import (
@@ -113,7 +109,7 @@ from .workloads import (
     uniform_ball_points,
 )
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "BatchResult",
@@ -150,19 +146,14 @@ __all__ = [
     "chan_chen_pass_count",
     "clarkson_classic_reweighting",
     "clarkson_pass_count",
-    "coordinator_clarkson_solve",
     "exact_in_memory",
     "machines_for_load",
-    "mpc_clarkson_solve",
     "ship_all_coordinator",
     "single_pass_full_memory_streaming",
-    "streaming_clarkson_solve",
     "BasisResult",
-    "ClarksonParameters",
     "CommunicationSummary",
     "LPTypeProblem",
     "SolveResult",
-    "clarkson_solve",
     "AugIndexInstance",
     "TCIInstance",
     "aug_index_to_tci",

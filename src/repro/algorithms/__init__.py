@@ -12,9 +12,8 @@ from .chan_chen import (
     chan_chen_pass_count,
     clarkson_pass_count,
 )
-from .coordinator_clarkson import coordinator_clarkson_solve
-from .mpc_clarkson import machines_for_load, mpc_clarkson_solve
-from .streaming_clarkson import streaming_clarkson_solve
+from . import coordinator_clarkson, streaming_clarkson  # noqa: F401  (registration)
+from .mpc_clarkson import machines_for_load
 
 __all__ = [
     "clarkson_classic_reweighting",
@@ -25,8 +24,5 @@ __all__ = [
     "chan_chen_2d_streaming",
     "chan_chen_pass_count",
     "clarkson_pass_count",
-    "coordinator_clarkson_solve",
     "machines_for_load",
-    "mpc_clarkson_solve",
-    "streaming_clarkson_solve",
 ]

@@ -17,16 +17,21 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
+
 from ..core.accounting import BitCostModel
-from ..core.clarkson import ClarksonParameters, _clarkson_solve, solve_small_problem
+from ..core.clarkson import _clarkson_solve, solve_small_problem
 from ..core.lptype import LPTypeProblem
 from ..core.result import ResourceUsage, SolveResult
 from ..core.rng import SeedLike
-from ..models.coordinator import CoordinatorNetwork, Message
+from ..fabric.topology import StarTopology, StreamTopology
+from ..fabric.transport import SharedRef
 from ..models.partition import partition_indices
-from ..models.streaming import MultiPassStream
 from ..api.config import CoordinatorConfig, SolverConfig
 from ..api.registry import register_model
+from .coordinator_clarkson import network_resources, ship_all_round
 
 __all__ = [
     "exact_in_memory",
@@ -45,10 +50,9 @@ def exact_in_memory(problem: LPTypeProblem) -> SolveResult:
 
 def single_pass_full_memory_streaming(problem: LPTypeProblem) -> SolveResult:
     """The trivial streaming algorithm: one pass, remember every constraint."""
-    stream = MultiPassStream(problem.num_constraints)
-    stored: list[int] = []
-    for index in stream.scan():
-        stored.append(index)
+    stream = StreamTopology(problem.num_constraints)
+    stream.record_pass()
+    stored = stream.order().tolist()
     basis = problem.solve_subset(stored)
     bit_size = problem.bit_size()
     return SolveResult(
@@ -71,43 +75,32 @@ def ship_all_coordinator(
     num_sites: int = 4,
     cost_model: BitCostModel | None = None,
 ) -> SolveResult:
-    """The trivial coordinator algorithm: every site ships its whole input."""
-    cost_model = cost_model or BitCostModel()
+    """The trivial coordinator algorithm: every site ships its whole input.
+
+    Runs the same measured exchange as the coordinator driver's
+    small-instance path (:func:`ship_all_round`), so both report the same
+    resources.
+    """
     partition = partition_indices(problem.num_constraints, num_sites, method="round_robin")
-    network = CoordinatorNetwork(partition, cost_model=cost_model)
-    payload_coeffs = problem.payload_num_coefficients()
-
-    network.begin_round()
-    received: list[int] = []
-    for site in network.sites:
-        network.coordinator_to_site(site.site_id, Message(("send-all", 1), cost_model.counters(1)))
-        # Same convention as the fabric's measured ConstraintBlock: the
-        # coefficient rows plus one counter per constraint identity.
-        network.site_to_coordinator(
-            site.site_id,
-            Message(
-                site.local_indices,
-                cost_model.coefficients(site.num_local * payload_coeffs)
-                + cost_model.counters(site.num_local),
-            ),
-        )
-        received.extend(int(i) for i in site.local_indices)
-    network.end_round()
-
-    basis = problem.solve_subset(sorted(received))
+    net = StarTopology(len(partition), cost_model=cost_model)
+    try:
+        net.share("problem", problem)
+        for site_id, local in enumerate(partition):
+            local = np.asarray(local, dtype=int)
+            net.init_state(site_id, {"problem": SharedRef("problem"), "local_indices": local})
+        blocks = ship_all_round(net)
+    finally:
+        net.close()
+    received = np.sort(np.concatenate([block.indices for block in blocks]))
+    basis = problem.solve_subset(received.tolist())
     return SolveResult(
         value=basis.value,
         witness=basis.witness,
         basis_indices=basis.indices,
         iterations=1,
         successful_iterations=1,
-        resources=ResourceUsage(
-            rounds=network.rounds,
-            total_communication_bits=network.total_bits,
-            max_message_bits=network.max_message_bits,
-            machine_count=network.num_sites,
-        ),
-        metadata={"algorithm": "ship_all_coordinator", "k": network.num_sites},
+        resources=network_resources(net),
+        metadata={"algorithm": "ship_all_coordinator", "k": net.num_sites},
     )
 
 
@@ -124,10 +117,8 @@ def clarkson_classic_reweighting(
     iterations instead of ``O(nu r)``; the A1 ablation benchmark measures
     the difference directly.
     """
-    params = ClarksonParameters(r=r, boost=2.0, sample_scale=sample_scale, max_iterations=4000)
-    result = _clarkson_solve(problem, params=params, rng=rng)
-    result.metadata["algorithm"] = "clarkson_classic_reweighting"
-    return result
+    config = SolverConfig(r=r, seed=rng, sample_scale=sample_scale, max_iterations=4000)
+    return _run_classic(problem, config)
 
 
 # --------------------------------------------------------------------------- #
@@ -177,6 +168,7 @@ def _run_single_pass(problem: LPTypeProblem, config: SolverConfig) -> SolveResul
         "rounds",
         "total_communication_bits",
         "max_message_bits",
+        "max_machine_load_bits",
         "machine_count",
     ),
 )
@@ -197,13 +189,9 @@ def _run_ship_all(problem: LPTypeProblem, config: CoordinatorConfig) -> SolveRes
     currencies=("space_peak_items",),
 )
 def _run_classic(problem: LPTypeProblem, config: SolverConfig) -> SolveResult:
-    from dataclasses import replace
-
-    params = replace(config.to_parameters(), boost=2.0)
-    if config.max_iterations is None:
-        # The factor-2 boost needs far more iterations than the Lemma 3.3
-        # budget the engine would otherwise derive.
-        params = replace(params, max_iterations=4000)
-    result = _clarkson_solve(problem, params=params, rng=config.seed)
+    # The factor-2 boost needs far more iterations than the Lemma 3.3 budget
+    # the engine would otherwise derive.
+    config = replace(config, boost=2.0, max_iterations=config.max_iterations or 4000)
+    result = _clarkson_solve(problem, config)
     result.metadata["algorithm"] = "clarkson_classic_reweighting"
     return result

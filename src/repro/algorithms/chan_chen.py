@@ -36,7 +36,8 @@ import numpy as np
 
 from ..core.exceptions import InvalidInstanceError
 from ..core.result import ResourceUsage, SolveResult
-from ..models.streaming import MultiPassStream, StreamingMemory
+from ..fabric.topology import StreamTopology
+from ..models.streaming import StreamingMemory
 
 __all__ = [
     "chan_chen_pass_count",
@@ -44,6 +45,10 @@ __all__ = [
     "EnvelopeLP",
     "chan_chen_2d_streaming",
 ]
+
+#: Relative tolerance within which a line counts as attaining the envelope
+#: minimum (and is reported in ``basis_indices``).
+_BASIS_TOLERANCE = 1e-9
 
 
 def chan_chen_pass_count(dimension: int, r: int) -> int:
@@ -127,7 +132,8 @@ def chan_chen_2d_streaming(
     if r < 1:
         raise ValueError("r must be >= 1")
 
-    stream = MultiPassStream(n)
+    stream = StreamTopology(n)
+    order = stream.order()
     memory = StreamingMemory()
     grid_size = max(3, int(np.ceil(grid_multiplier * n ** (1.0 / r))) + 1)
     low, high = float(lp.x_low), float(lp.x_high)
@@ -136,7 +142,8 @@ def chan_chen_2d_streaming(
         grid = np.linspace(low, high, grid_size)
         envelope = np.full(grid_size, -np.inf)
         # One pass: evaluate every line on the grid, keep the running max.
-        for index in stream.scan():
+        stream.record_pass()
+        for index in order:
             values = lp.slopes[index] * grid + lp.intercepts[index]
             np.maximum(envelope, values, out=envelope)
         memory.set_usage(items=2 * grid_size, bits=2 * grid_size * 64)
@@ -156,7 +163,8 @@ def chan_chen_2d_streaming(
     end_values_low: list[float] = []
     end_values_high: list[float] = []
     max_abs_slope = 0.0
-    for index in stream.scan():
+    stream.record_pass()
+    for index in order:
         end_values_low.append(lp.slopes[index] * low + lp.intercepts[index])
         end_values_high.append(lp.slopes[index] * high + lp.intercepts[index])
         max_abs_slope = max(max_abs_slope, abs(float(lp.slopes[index])))
@@ -192,11 +200,15 @@ def chan_chen_2d_streaming(
         y = float(np.max(active_slopes * x + active_intercepts))
         if y < best_y:
             best_x, best_y = float(x), y
+    # The basis: the active lines that attain the envelope at ``best_x``.
+    tight = np.abs(active_slopes * best_x + active_intercepts - best_y) <= (
+        _BASIS_TOLERANCE * max(1.0, abs(best_y))
+    )
 
     return SolveResult(
         value=best_y,
         witness=np.array([best_x, best_y]),
-        basis_indices=tuple(active[:3]),
+        basis_indices=tuple(active[i] for i in np.flatnonzero(tight)),
         iterations=r + 1,
         successful_iterations=r + 1,
         resources=ResourceUsage(

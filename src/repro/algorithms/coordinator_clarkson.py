@@ -38,19 +38,13 @@ sampling strategy, round 3 inside the weight substrate.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .. import kernels
 from ..core.accounting import BitCostModel
-from ..core.clarkson import (
-    ClarksonParameters,
-    _warm_stats,
-    resolve_sampling,
-    solve_small_problem,
-)
+from ..core.clarkson import _warm_stats, resolve_sampling, solve_small_problem
 from ..core.engine import (
     ClarksonEngine,
     EngineConfig,
@@ -63,7 +57,7 @@ from ..core.engine import (
 from ..core.exceptions import IterationLimitError
 from ..core.lptype import BasisResult, LPTypeProblem
 from ..core.result import ResourceUsage, SolveResult
-from ..core.rng import SeedLike, as_generator, spawn
+from ..core.rng import as_generator, spawn
 from ..core.sampling import multinomial_split, weighted_sample_without_replacement
 from ..core.weights import ExplicitWeights, boost_factor
 from ..fabric.payload import (
@@ -79,10 +73,10 @@ from ..fabric.payload import (
 from ..fabric.topology import StarTopology, TreeTopology
 from ..fabric.transport import SharedRef, resolve_transport
 from ..models.partition import partition_indices
-from ..api.config import CoordinatorConfig, TransportConfig
-from ..api.registry import register_model, warn_legacy_entry_point
+from ..api.config import CoordinatorConfig
+from ..api.registry import register_model
 
-__all__ = ["coordinator_clarkson_solve"]
+__all__ = ["ship_all_round", "network_resources"]
 
 
 # ---------------------------------------------------------------------- #
@@ -294,56 +288,74 @@ class PartitionedWeightSubstrate(WeightSubstrate):
         self.state.pending_boost = True
 
 
-def _build_topology(
-    num_sites: int,
-    topology: str,
-    fanout: int,
-    transport_config: Optional[TransportConfig],
-    cost_model: BitCostModel,
-) -> StarTopology | TreeTopology:
-    transport = resolve_transport(transport_config)
-    if topology == "tree":
-        return TreeTopology(num_sites, fanout=fanout, transport=transport, cost_model=cost_model)
-    if topology == "star":
-        return StarTopology(num_sites, transport=transport, cost_model=cost_model)
-    raise ValueError(f"unknown coordinator topology {topology!r}")
+def ship_all_round(net: StarTopology | TreeTopology) -> list[ConstraintBlock]:
+    """The one-round exchange that ships every site's whole share to the hub.
+
+    The coordinator announces ``send-all``; every site answers with its
+    local constraints as a measured :class:`ConstraintBlock`.  Both the
+    small-instance path of the coordinator driver and the
+    ``ship_all_coordinator`` baseline run exactly this exchange.
+    """
+    net.begin_round()
+    net.broadcast_down(Flag("send-all", 1))
+    blocks = net.gather_up(net.run_all(_site_ship_all, [()] * net.num_sites))
+    net.end_round()
+    return blocks
+
+
+def network_resources(net: StarTopology | TreeTopology, **extra) -> ResourceUsage:
+    """The coordinator-model currencies one run spent on ``net``."""
+    return ResourceUsage(
+        rounds=net.rounds,
+        total_communication_bits=net.total_bits,
+        max_message_bits=net.max_message_bits,
+        max_machine_load_bits=net.max_load_bits,
+        machine_count=net.num_sites,
+        **extra,
+    )
 
 
 def _coordinator_clarkson_solve(
     problem: LPTypeProblem,
-    num_sites: int = 4,
-    r: int = 2,
-    partition: Sequence[np.ndarray] | None = None,
-    params: ClarksonParameters | None = None,
-    cost_model: BitCostModel | None = None,
-    rng: SeedLike = None,
-    topology: str = "star",
-    fanout: int = 2,
-    transport: Optional[TransportConfig] = None,
+    config: CoordinatorConfig,
     warm_witnesses: list | None = None,
 ) -> SolveResult:
-    """Coordinator driver body; see :func:`coordinator_clarkson_solve`.
+    """Coordinator-model driver: the ``"coordinator"`` runner.
 
-    Internal entry point used by ``repro.solve(problem, model="coordinator")``;
-    identical to the public shim minus the deprecation warning.
-    ``warm_witnesses`` (session API) seeds the per-site weight vectors from a
-    prior run's successful-iteration bases; the prior run already broadcast
-    those bases to every site, so re-deriving the local weights costs no
-    additional communication.
+    Sites only touch their own constraints and what they received; the
+    coordinator and per-site generators derive from ``config.seed``.
+    ``resources.rounds`` and ``resources.total_communication_bits`` carry
+    the coordinator-model costs; ``result.communication`` has the per-round
+    trace.  ``warm_witnesses`` (session API) seeds the per-site weight
+    vectors from a prior run's successful-iteration bases; the prior run
+    already broadcast those bases to every site, so re-deriving the local
+    weights costs no additional communication.
     """
-    base_params = params or ClarksonParameters()
-    params = replace(base_params, r=r)
-    gen = as_generator(rng)
+    gen = as_generator(config.seed)
     n = problem.num_constraints
-    cost_model = cost_model or BitCostModel()
-
+    partition = config.partition
     if partition is None:
-        partition = partition_indices(n, num_sites, method="round_robin")
-    net = _build_topology(len(partition), topology, fanout, transport, cost_model)
+        partition = partition_indices(n, config.num_sites, method="round_robin")
+    transport = resolve_transport(config.transport)
+    cost_model = config.cost_model or BitCostModel()
+    if config.topology == "tree":
+        net = TreeTopology(
+            len(partition), fanout=config.fanout, transport=transport, cost_model=cost_model
+        )
+    else:
+        net = StarTopology(len(partition), transport=transport, cost_model=cost_model)
 
-    sample_size, epsilon = resolve_sampling(problem, params)
-    boost = params.boost if params.boost is not None else boost_factor(n, params.r)
-    backend = kernels.resolve_backend_name(params.kernel_backend)
+    sample_size, epsilon = resolve_sampling(problem, config)
+    boost = config.boost if config.boost is not None else boost_factor(n, config.r)
+    backend = kernels.resolve_backend_name(config.kernel_backend)
+    metadata = {
+        "algorithm": "coordinator_clarkson",
+        "r": config.r,
+        "k": net.num_sites,
+        "topology": config.topology,
+        "transport": net.transport.name,
+        "kernel_backend": backend,
+    }
 
     state = _CoordinatorState(
         problem=problem,
@@ -366,29 +378,15 @@ def _coordinator_clarkson_solve(
 
         if sample_size >= n:
             # Cheaper to ship everything to the coordinator in one exchange.
-            net.begin_round()
-            net.broadcast_down(Flag("send-all", 1))
-            blocks = net.run_all(_site_ship_all, [()] * net.num_sites)
-            net.gather_up(blocks)
-            net.end_round()
+            ship_all_round(net)
             with kernels.use_backend(backend):
                 result = solve_small_problem(problem)
-            result.resources.rounds = net.rounds
-            result.resources.total_communication_bits = net.total_bits
-            result.resources.max_message_bits = net.max_message_bits
-            result.resources.max_machine_load_bits = net.max_load_bits
-            result.resources.machine_count = net.num_sites
-            result.resources.per_round = net.ledger.as_table()
-            result.metadata.update(
-                {
-                    "algorithm": "coordinator_clarkson",
-                    "r": params.r,
-                    "k": net.num_sites,
-                    "topology": topology,
-                    "transport": net.transport.name,
-                    "kernel_backend": backend,
-                }
+            result.resources = network_resources(
+                net,
+                space_peak_items=result.resources.space_peak_items,
+                per_round=net.ledger.as_table(),
             )
+            result.metadata.update(metadata)
             result.warm = _warm_stats(warm_witnesses, [])
             return result
 
@@ -399,10 +397,10 @@ def _coordinator_clarkson_solve(
             config=EngineConfig(
                 sample_size=sample_size,
                 epsilon=epsilon,
-                budget=iteration_budget(problem, params.r, params.max_iterations),
-                keep_trace=params.keep_trace,
+                budget=iteration_budget(problem, config.r, config.max_iterations),
+                keep_trace=config.keep_trace,
                 name="coordinator Clarkson",
-                basis_cache=params.basis_cache,
+                basis_cache=config.basis_cache,
             ),
         )
         with kernels.use_backend(backend):
@@ -410,116 +408,33 @@ def _coordinator_clarkson_solve(
     finally:
         net.close()
 
-    resources = ResourceUsage(
-        rounds=net.rounds,
-        total_communication_bits=net.total_bits,
-        max_message_bits=net.max_message_bits,
-        max_machine_load_bits=net.max_load_bits,
-        machine_count=net.num_sites,
-        oracle_calls=state.oracle.calls,
-        basis_cache_hits=outcome.cache_hits,
-        basis_cache_misses=outcome.cache_misses,
-        per_round=net.ledger.as_table(),
-    )
     return SolveResult(
         value=outcome.basis.value,
         witness=outcome.basis.witness,
         basis_indices=outcome.basis.indices,
         iterations=outcome.iterations,
         successful_iterations=outcome.successful_iterations,
-        resources=resources,
+        resources=network_resources(
+            net,
+            oracle_calls=state.oracle.calls,
+            basis_cache_hits=outcome.cache_hits,
+            basis_cache_misses=outcome.cache_misses,
+            per_round=net.ledger.as_table(),
+        ),
         trace=outcome.trace,
         metadata={
-            "algorithm": "coordinator_clarkson",
-            "r": params.r,
-            "k": net.num_sites,
+            **metadata,
             "epsilon": epsilon,
             "sample_size": sample_size,
             "boost": boost,
-            "topology": topology,
-            "transport": net.transport.name,
-            "kernel_backend": backend,
         },
         warm=_warm_stats(warm_witnesses, outcome.successful_witnesses),
     )
 
 
-def coordinator_clarkson_solve(
-    problem: LPTypeProblem,
-    num_sites: int = 4,
-    r: int = 2,
-    partition: Sequence[np.ndarray] | None = None,
-    params: ClarksonParameters | None = None,
-    cost_model: BitCostModel | None = None,
-    rng: SeedLike = None,
-) -> SolveResult:
-    """Solve an LP-type problem in the coordinator model.
-
-    .. deprecated:: 1.1
-        Use ``repro.solve(problem, model="coordinator")`` instead; this shim
-        emits a :class:`DeprecationWarning` and forwards to the same
-        implementation.
-
-    Parameters
-    ----------
-    problem:
-        The LP-type problem (shared read-only by the simulator; sites only
-        touch their own constraints and what they received).
-    num_sites:
-        Number of sites ``k`` (ignored if ``partition`` is given).
-    r:
-        Round/communication trade-off parameter of Theorem 2.
-    partition:
-        Optional explicit partition of the constraint indices over the sites.
-    params:
-        Meta-algorithm parameters (``params.r`` is overridden by ``r``).
-    cost_model:
-        Bit-cost model used for the communication accounting.
-    rng:
-        Randomness (coordinator and per-site generators are derived from it).
-
-    Returns
-    -------
-    SolveResult
-        ``resources.rounds`` and ``resources.total_communication_bits`` carry
-        the coordinator-model costs; ``result.communication`` has the
-        per-round trace.
-    """
-    warn_legacy_entry_point("coordinator_clarkson_solve", "coordinator")
-    return _coordinator_clarkson_solve(
-        problem,
-        num_sites=num_sites,
-        r=r,
-        partition=partition,
-        params=params,
-        cost_model=cost_model,
-        rng=rng,
-    )
-
-
-def _run_coordinator(
-    problem: LPTypeProblem, config: CoordinatorConfig, warm_witnesses=None
-) -> SolveResult:
-    """Runner and warm-runner in one (the session passes ``warm_witnesses``),
-    so the cold and warm paths can never drift in config handling."""
-    return _coordinator_clarkson_solve(
-        problem,
-        num_sites=config.num_sites,
-        r=config.r,
-        partition=config.partition,
-        params=config.to_parameters(),
-        cost_model=config.cost_model,
-        rng=config.seed,
-        topology=config.topology,
-        fanout=config.fanout,
-        transport=config.transport,
-        warm_witnesses=warm_witnesses,
-    )
-
-
 register_model(
     "coordinator",
-    _run_coordinator,
+    _coordinator_clarkson_solve,
     config_cls=CoordinatorConfig,
     description=(
         "Coordinator-model Clarkson (Theorem 2): per-site explicit weights, "
@@ -533,8 +448,6 @@ register_model(
         "max_machine_load_bits",
         "machine_count",
     ),
-    replaces="coordinator_clarkson_solve",
     transports=("inprocess", "process", "tcp"),
-    warm_runner=_run_coordinator,
     capabilities=("warm_restart", "ingest"),
 )

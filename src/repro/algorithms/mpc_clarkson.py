@@ -45,12 +45,7 @@ import numpy as np
 
 from .. import kernels
 from ..core.accounting import BitCostModel
-from ..core.clarkson import (
-    ClarksonParameters,
-    _warm_stats,
-    resolve_sampling,
-    solve_small_problem,
-)
+from ..core.clarkson import _warm_stats, resolve_sampling, solve_small_problem
 from ..core.engine import (
     ClarksonEngine,
     EngineConfig,
@@ -63,7 +58,7 @@ from ..core.engine import (
 from ..core.exceptions import IterationLimitError
 from ..core.lptype import BasisResult, LPTypeProblem
 from ..core.result import ResourceUsage, SolveResult
-from ..core.rng import SeedLike, as_generator, spawn
+from ..core.rng import as_generator, spawn
 from ..core.sampling import gumbel_top_k
 from ..core.weights import boost_factor
 from ..fabric.payload import (
@@ -78,10 +73,10 @@ from ..fabric.payload import (
 from ..fabric.topology import GridTopology
 from ..fabric.transport import SharedRef, resolve_transport
 from ..models.partition import partition_indices
-from ..api.config import MPCConfig, TransportConfig
-from ..api.registry import register_model, warn_legacy_entry_point
+from ..api.config import MPCConfig
+from ..api.registry import register_model
 
-__all__ = ["mpc_clarkson_solve", "machines_for_load"]
+__all__ = ["machines_for_load"]
 
 _COORDINATOR = 0
 
@@ -335,42 +330,36 @@ class TreeImplicitSubstrate(WeightSubstrate):
 
 def _mpc_clarkson_solve(
     problem: LPTypeProblem,
-    delta: float = 0.5,
-    num_machines: int | None = None,
-    partition: Sequence[np.ndarray] | None = None,
-    params: ClarksonParameters | None = None,
-    cost_model: BitCostModel | None = None,
-    rng: SeedLike = None,
-    transport: Optional[TransportConfig] = None,
+    config: MPCConfig,
     warm_witnesses: list | None = None,
 ) -> SolveResult:
-    """MPC driver body; see :func:`mpc_clarkson_solve`.
+    """MPC driver: the ``"mpc"`` runner.
 
-    Internal entry point used by ``repro.solve(problem, model="mpc")``;
-    identical to the public shim minus the deprecation warning.
+    Per-machine load is ``O~(n^delta)`` and the number of rounds
+    ``O(nu / delta^2)``; ``r = ceil(1/delta)`` is derived from
+    ``config.delta`` (the config's own ``r`` is ignored).
+    ``resources.rounds`` and ``resources.max_machine_load_bits`` carry the
+    MPC costs; ``result.communication`` has the per-round trace.
     ``warm_witnesses`` (session API) seeds every machine's implicit
     stored-bases weights with a prior run's successful-iteration witnesses.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    base_params = params or ClarksonParameters()
-    r = max(1, int(math.ceil(1.0 / delta)))
-    params = replace(base_params, r=r)
-    gen = as_generator(rng)
+    delta = config.delta
+    config = replace(config, r=max(1, int(math.ceil(1.0 / delta))))
+    gen = as_generator(config.seed)
     n = problem.num_constraints
-    cost_model = cost_model or BitCostModel()
+    cost_model = config.cost_model or BitCostModel()
 
-    k = num_machines or machines_for_load(n, delta)
+    k = config.num_machines or machines_for_load(n, delta)
+    partition = config.partition
     if partition is None:
         partition = partition_indices(n, k, method="round_robin")
-    topology = GridTopology(
-        len(partition), transport=resolve_transport(transport), cost_model=cost_model
-    )
+    transport = resolve_transport(config.transport)
+    topology = GridTopology(len(partition), transport=transport, cost_model=cost_model)
     fanout = max(2, int(math.ceil(n ** delta)))
 
-    sample_size, epsilon = resolve_sampling(problem, params)
-    boost = params.boost if params.boost is not None else boost_factor(n, params.r)
-    backend = kernels.resolve_backend_name(params.kernel_backend)
+    sample_size, epsilon = resolve_sampling(problem, config)
+    boost = config.boost if config.boost is not None else boost_factor(n, config.r)
+    backend = kernels.resolve_backend_name(config.kernel_backend)
 
     state = _MPCState(
         problem=problem,
@@ -426,10 +415,10 @@ def _mpc_clarkson_solve(
             config=EngineConfig(
                 sample_size=sample_size,
                 epsilon=epsilon,
-                budget=iteration_budget(problem, params.r, params.max_iterations),
-                keep_trace=params.keep_trace,
+                budget=iteration_budget(problem, config.r, config.max_iterations),
+                keep_trace=config.keep_trace,
                 name="MPC Clarkson",
-                basis_cache=params.basis_cache,
+                basis_cache=config.basis_cache,
             ),
         )
         with kernels.use_backend(backend):
@@ -459,7 +448,7 @@ def _mpc_clarkson_solve(
         metadata={
             "algorithm": "mpc_clarkson",
             "delta": delta,
-            "r": params.r,
+            "r": config.r,
             "k": topology.num_machines,
             "epsilon": epsilon,
             "sample_size": sample_size,
@@ -472,79 +461,9 @@ def _mpc_clarkson_solve(
     )
 
 
-def mpc_clarkson_solve(
-    problem: LPTypeProblem,
-    delta: float = 0.5,
-    num_machines: int | None = None,
-    partition: Sequence[np.ndarray] | None = None,
-    params: ClarksonParameters | None = None,
-    cost_model: BitCostModel | None = None,
-    rng: SeedLike = None,
-) -> SolveResult:
-    """Solve an LP-type problem in the MPC model.
-
-    .. deprecated:: 1.1
-        Use ``repro.solve(problem, model="mpc")`` instead; this shim emits a
-        :class:`DeprecationWarning` and forwards to the same implementation.
-
-    Parameters
-    ----------
-    problem:
-        The LP-type problem.
-    delta:
-        Load exponent: per-machine load is ``O~(n^delta)`` and the number of
-        rounds is ``O(nu / delta^2)``.
-    num_machines:
-        Number of machines (default ``ceil(n^(1-delta))``).
-    partition:
-        Optional explicit partition of constraint indices over machines.
-    params:
-        Meta-algorithm parameters; ``r = ceil(1/delta)`` is derived from
-        ``delta``.
-    cost_model:
-        Bit-cost model for the load accounting.
-    rng:
-        Randomness.
-
-    Returns
-    -------
-    SolveResult
-        ``resources.rounds`` and ``resources.max_machine_load_bits`` carry
-        the MPC costs; ``result.communication`` has the per-round trace.
-    """
-    warn_legacy_entry_point("mpc_clarkson_solve", "mpc")
-    return _mpc_clarkson_solve(
-        problem,
-        delta=delta,
-        num_machines=num_machines,
-        partition=partition,
-        params=params,
-        cost_model=cost_model,
-        rng=rng,
-    )
-
-
-def _run_mpc(
-    problem: LPTypeProblem, config: MPCConfig, warm_witnesses=None
-) -> SolveResult:
-    """Runner and warm-runner in one (the session passes ``warm_witnesses``),
-    so the cold and warm paths can never drift in config handling."""
-    return _mpc_clarkson_solve(
-        problem,
-        delta=config.delta,
-        num_machines=config.num_machines,
-        partition=config.partition,
-        params=config.to_parameters(),
-        cost_model=config.cost_model,
-        rng=config.seed,
-        transport=config.transport,
-        warm_witnesses=warm_witnesses,
-    )
-
-
 register_model(
     "mpc",
-    _run_mpc,
+    _mpc_clarkson_solve,
     config_cls=MPCConfig,
     description=(
         "MPC Clarkson (Theorem 3): implicit weights with tree "
@@ -557,8 +476,6 @@ register_model(
         "total_communication_bits",
         "machine_count",
     ),
-    replaces="mpc_clarkson_solve",
     transports=("inprocess", "process", "tcp"),
-    warm_runner=_run_mpc,
     capabilities=("warm_restart", "ingest"),
 )

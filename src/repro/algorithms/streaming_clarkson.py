@@ -44,18 +44,12 @@ only provides the streaming substrate binding.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .. import kernels
-from ..core.clarkson import (
-    ClarksonParameters,
-    _warm_stats,
-    resolve_sampling,
-    solve_small_problem,
-)
+from ..core.clarkson import _warm_stats, resolve_sampling, solve_small_problem
 from ..core.engine import (
     ClarksonEngine,
     EngineConfig,
@@ -67,16 +61,14 @@ from ..core.engine import (
 )
 from ..core.lptype import BasisResult, LPTypeProblem
 from ..core.result import ResourceUsage, SolveResult
-from ..core.rng import SeedLike, as_generator
+from ..core.rng import as_generator
 from ..core.sampling import exponential_keys
 from ..core.weights import boost_factor
 from ..fabric.topology import StreamTopology
 from ..fabric.transport import SharedRef, resolve_transport
 from ..models.streaming import StreamingMemory
-from ..api.config import StreamingConfig, TransportConfig
-from ..api.registry import register_model, warn_legacy_entry_point
-
-__all__ = ["streaming_clarkson_solve"]
+from ..api.config import StreamingConfig
+from ..api.registry import register_model
 
 #: Number of stream items buffered per vectorised evaluation.  Bounded and
 #: independent of ``n``: the simulator's live scratch per pass is
@@ -250,31 +242,28 @@ class ImplicitStreamSubstrate(WeightSubstrate):
 
 def _streaming_clarkson_solve(
     problem: LPTypeProblem,
-    r: int = 2,
-    order: Sequence[int] | np.ndarray | None = None,
-    params: ClarksonParameters | None = None,
-    rng: SeedLike = None,
-    transport: Optional[TransportConfig] = None,
+    config: StreamingConfig,
     warm_witnesses: list | None = None,
 ) -> SolveResult:
-    """Streaming driver body; see :func:`streaming_clarkson_solve`.
+    """Multi-pass streaming driver: the ``"streaming"`` runner.
 
-    Internal entry point used by ``repro.solve(problem, model="streaming")``;
-    identical to the public shim minus the deprecation warning.
-    ``warm_witnesses`` (session API) seeds the implicit stored-bases weights
-    with a prior run's successful-iteration witnesses.
+    The driver only accesses constraints by the indices the stream yields
+    (in ``config.order``); ``resources.passes`` and
+    ``resources.space_peak_items`` / ``space_peak_bits`` carry the streaming
+    costs of the run.  ``warm_witnesses`` (session API) seeds the implicit
+    stored-bases weights with a prior run's successful-iteration witnesses.
     """
-    base_params = params or ClarksonParameters()
-    params = replace(base_params, r=r)
-    gen = as_generator(rng)
+    gen = as_generator(config.seed)
     n = problem.num_constraints
-    topology = StreamTopology(n, order=order, transport=resolve_transport(transport))
+    topology = StreamTopology(
+        n, order=config.order, transport=resolve_transport(config.transport)
+    )
     memory = StreamingMemory()
     bit_size = problem.bit_size()
 
-    backend = kernels.resolve_backend_name(params.kernel_backend)
+    backend = kernels.resolve_backend_name(config.kernel_backend)
     with kernels.use_backend(backend):
-        sample_size, epsilon = resolve_sampling(problem, params)
+        sample_size, epsilon = resolve_sampling(problem, config)
         if sample_size >= n:
             # The sample would contain the whole stream: one pass, full storage.
             topology.record_pass()
@@ -286,14 +275,14 @@ def _streaming_clarkson_solve(
             result.metadata.update(
                 {
                     "algorithm": "streaming_clarkson",
-                    "r": params.r,
+                    "r": config.r,
                     "kernel_backend": backend,
                 }
             )
             result.warm = _warm_stats(warm_witnesses, [])
             return result
 
-        boost = params.boost if params.boost is not None else boost_factor(n, params.r)
+        boost = config.boost if config.boost is not None else boost_factor(n, config.r)
         try:
             # State installation already talks to the transport (sharing the
             # problem, shipping the reader state), so it runs inside the same
@@ -316,10 +305,10 @@ def _streaming_clarkson_solve(
                 config=EngineConfig(
                     sample_size=sample_size,
                     epsilon=epsilon,
-                    budget=iteration_budget(problem, params.r, params.max_iterations),
-                    keep_trace=params.keep_trace,
+                    budget=iteration_budget(problem, config.r, config.max_iterations),
+                    keep_trace=config.keep_trace,
                     name="streaming Clarkson",
-                    basis_cache=params.basis_cache,
+                    basis_cache=config.basis_cache,
                 ),
             )
             outcome = engine.run()
@@ -345,7 +334,7 @@ def _streaming_clarkson_solve(
         trace=outcome.trace,
         metadata={
             "algorithm": "streaming_clarkson",
-            "r": params.r,
+            "r": config.r,
             "epsilon": epsilon,
             "sample_size": sample_size,
             "boost": boost,
@@ -357,72 +346,15 @@ def _streaming_clarkson_solve(
     )
 
 
-def streaming_clarkson_solve(
-    problem: LPTypeProblem,
-    r: int = 2,
-    order: Sequence[int] | np.ndarray | None = None,
-    params: ClarksonParameters | None = None,
-    rng: SeedLike = None,
-) -> SolveResult:
-    """Solve an LP-type problem in the multi-pass streaming model.
-
-    .. deprecated:: 1.1
-        Use ``repro.solve(problem, model="streaming")`` instead; this shim
-        emits a :class:`DeprecationWarning` and forwards to the same
-        implementation.
-
-    Parameters
-    ----------
-    problem:
-        The LP-type problem; the driver only accesses constraints by the
-        indices the stream yields.
-    r:
-        Pass/space trade-off parameter of Theorem 1.
-    order:
-        Optional arrival order of the constraints (default: natural order).
-    params:
-        Optional meta-algorithm parameters; ``params.r`` is overridden by
-        ``r``.
-    rng:
-        Randomness for the reservoir sampling.
-
-    Returns
-    -------
-    SolveResult
-        ``resources.passes`` and ``resources.space_peak_items`` /
-        ``space_peak_bits`` carry the streaming costs of the run.
-    """
-    warn_legacy_entry_point("streaming_clarkson_solve", "streaming")
-    return _streaming_clarkson_solve(problem, r=r, order=order, params=params, rng=rng)
-
-
-def _run_streaming(
-    problem: LPTypeProblem, config: StreamingConfig, warm_witnesses=None
-) -> SolveResult:
-    """Runner and warm-runner in one (the session passes ``warm_witnesses``),
-    so the cold and warm paths can never drift in config handling."""
-    return _streaming_clarkson_solve(
-        problem,
-        r=config.r,
-        order=config.order,
-        params=config.to_parameters(),
-        rng=config.seed,
-        transport=config.transport,
-        warm_witnesses=warm_witnesses,
-    )
-
-
 register_model(
     "streaming",
-    _run_streaming,
+    _streaming_clarkson_solve,
     config_cls=StreamingConfig,
     description=(
         "Multi-pass streaming Clarkson (Theorem 1): implicit stored-bases "
         "weights, two passes per iteration, O~(n^{1/r}) space."
     ),
     currencies=("passes", "space_peak_items", "space_peak_bits"),
-    replaces="streaming_clarkson_solve",
     transports=("inprocess", "process", "tcp"),
-    warm_runner=_run_streaming,
     capabilities=("warm_restart", "ingest"),
 )

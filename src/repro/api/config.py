@@ -17,21 +17,20 @@ MPC            :class:`MPCConfig`         ``delta``, ``num_machines``, ``partiti
 Validation happens at construction time and raises
 :class:`~repro.core.exceptions.InvalidConfigError` naming the offending
 field, so a bad value fails before any pass, round, or message is spent.
-:meth:`SolverConfig.to_parameters` normalises a config into the
-:class:`~repro.core.clarkson.ClarksonParameters` the drivers consume, and
+Each model's driver reads its config directly, and
 :meth:`SolverConfig.practical` builds the constant-free "practical profile"
 used by the examples and benchmarks.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from .. import kernels
 from ..core.accounting import BitCostModel
-from ..core.clarkson import ClarksonParameters, practical_parameters
 from ..core.exceptions import InvalidConfigError
 from ..core.rng import SeedLike
 
@@ -331,21 +330,6 @@ class SolverConfig:
                 f"{type(self).__name__}.{field_name} {message} (got {value!r})"
             )
 
-    def to_parameters(self) -> ClarksonParameters:
-        """Normalise into the :class:`ClarksonParameters` the drivers consume."""
-        return ClarksonParameters(
-            r=self.r,
-            sample_scale=self.sample_scale,
-            failure_probability=self.failure_probability,
-            boost=self.boost,
-            max_iterations=self.max_iterations,
-            keep_trace=self.keep_trace,
-            basis_cache=self.basis_cache,
-            sample_size=self.sample_size,
-            success_threshold=self.success_threshold,
-            kernel_backend=self.kernel_backend,
-        )
-
     @classmethod
     def practical(
         cls,
@@ -356,22 +340,39 @@ class SolverConfig:
     ) -> "SolverConfig":
         """The constant-free "practical profile" as a typed config.
 
-        Same asymptotics as the paper (samples of ``~ n^{1/r}``, success
-        threshold of ``~ 1/n^{1/r}``) with the loose Lemma 2.2 constants
-        replaced by Clarkson's sampling bound — see
-        :func:`repro.core.clarkson.practical_parameters`.  Extra keyword
-        arguments become fields of the returned config (``seed=0``, ...);
-        model-specific keys require calling ``practical`` on that model's
-        config class (``CoordinatorConfig.practical(problem, num_sites=8)``).
+        The Lemma 2.2 constants (``8 * lambda / eps * log(...)`` with
+        ``eps = 1/(10 nu n^{1/r})``) put the sub-linear sampling regime out
+        of reach for inputs below ~10^7 constraints.  This profile keeps the
+        paper's scaling (samples of ``~ n^{1/r}``, success threshold of
+        ``~ 1/n^{1/r}``) but replaces the constants with Clarkson's
+        random-sampling bound:
+
+        * success threshold ``eps = ln(n) / (2 * nu * r * n^{1/r})`` — still
+          small enough that the Lemma 3.3 argument bounds the successful
+          iterations by ``O(nu * r)``;
+        * sample size ``m = safety * nu / eps`` — by Clarkson's sampling
+          lemma the expected violator weight fraction of an ``m``-sample is
+          at most ``nu / (m - nu)``, so an iteration succeeds with constant
+          probability.
+
+        Used by the examples and by every benchmark; the paper-exact
+        profile (the config defaults) remains the default of the solvers.
+        Extra keyword arguments become fields of the returned config
+        (``seed=0``, ...); model-specific keys require calling ``practical``
+        on that model's config class
+        (``CoordinatorConfig.practical(problem, num_sites=8)``).
         """
-        params = practical_parameters(
-            problem, r=r, safety=safety, keep_trace=bool(overrides.pop("keep_trace", True))
-        )
+        if r < 1:
+            raise InvalidConfigError(f"{cls.__name__}.r must be >= 1 (got {r!r})")
+        n = problem.num_constraints
+        nu = problem.combinatorial_dimension
+        epsilon = min(0.45, math.log(max(3, n)) / (2.0 * nu * r * n ** (1.0 / r)))
+        sample_size = int(math.ceil(safety * nu / epsilon)) + nu
         base: dict[str, Any] = dict(
             r=r,
-            keep_trace=params.keep_trace,
-            sample_size=params.sample_size,
-            success_threshold=params.success_threshold,
+            keep_trace=bool(overrides.pop("keep_trace", True)),
+            sample_size=min(sample_size, n),
+            success_threshold=epsilon,
         )
         base.update(overrides)
         return construct_config(cls, base)

@@ -5,8 +5,8 @@ computation model; the registry is the API-level mirror of that statement.
 Each computation model (sequential, streaming, coordinator, MPC, and the
 baselines) registers a :class:`ModelSpec` describing
 
-* how to run it (a ``runner(problem, config) -> SolveResult`` adapter over
-  the model's driver),
+* how to run it (its driver, a ``runner(problem, config) -> SolveResult``
+  that reads the typed config itself),
 * which typed configuration it accepts (a
   :class:`~repro.api.config.SolverConfig` subclass, whose fields double as
   the model's supported configuration keys), and
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -101,8 +100,12 @@ class ModelSpec:
     name:
         Registry key, e.g. ``"streaming"``.
     runner:
-        ``runner(problem, config) -> SolveResult`` adapter that binds the
-        model's driver to the typed config.
+        The model's driver, ``runner(problem, config) -> SolveResult``.  A
+        model with the ``"warm_restart"`` capability accepts a third
+        argument, ``warm_witnesses``: the driver then starts with its weight
+        state seeded from those successful-iteration basis witnesses
+        (Section 3.2's model-independent weight representation) and reports
+        reuse stats in ``SolveResult.warm``.
     config_cls:
         The :class:`~repro.api.config.SolverConfig` subclass the model
         accepts; its dataclass fields are the supported config keys.
@@ -110,18 +113,10 @@ class ModelSpec:
         One-line human description (shown by :func:`describe_model`).
     currencies:
         The ``ResourceUsage`` fields that are meaningful for this model.
-    replaces:
-        Name of the legacy entry point this model supersedes, if any.
     transports:
         The :class:`~repro.api.config.TransportConfig` kinds the model's
         driver can execute on (every model runs in-process; the distributed
         models additionally run on real worker processes).
-    warm_runner:
-        Optional ``warm_runner(problem, config, warm_witnesses) ->
-        SolveResult`` adapter: runs the driver with its weight state seeded
-        from the given successful-iteration basis witnesses (Section 3.2's
-        model-independent weight representation) and reports reuse stats in
-        ``SolveResult.warm``.  Models without one cannot warm-restart.
     capabilities:
         Session-level capability tags (``"warm_restart"``, ``"ingest"``)
         surfaced through :class:`SessionSpec` / :func:`describe_model`.
@@ -132,9 +127,7 @@ class ModelSpec:
     config_cls: type
     description: str = ""
     currencies: tuple[str, ...] = ()
-    replaces: str | None = None
     transports: tuple[str, ...] = ("inprocess",)
-    warm_runner: Callable[..., "SolveResult"] | None = None
     capabilities: tuple[str, ...] = ()
 
     @property
@@ -146,8 +139,7 @@ class ModelSpec:
     def session_spec(self) -> SessionSpec:
         """The session-level capability record of this model."""
         return SessionSpec(
-            warm_restart=self.warm_runner is not None
-            and "warm_restart" in self.capabilities,
+            warm_restart="warm_restart" in self.capabilities,
             ingest="ingest" in self.capabilities,
             transports=self.transports,
         )
@@ -199,9 +191,7 @@ def register_model(
     config_cls: type,
     description: str = "",
     currencies: tuple[str, ...] = (),
-    replaces: str | None = None,
     transports: tuple[str, ...] = ("inprocess",),
-    warm_runner: Callable[..., Any] | None = None,
     capabilities: tuple[str, ...] = (),
 ) -> Callable[..., Any]:
     """Register a computation model; usable as a decorator on its runner.
@@ -219,9 +209,7 @@ def register_model(
             config_cls=config_cls,
             description=description,
             currencies=tuple(currencies),
-            replaces=replaces,
             transports=tuple(transports),
-            warm_runner=warm_runner,
             capabilities=tuple(capabilities),
         )
         return fn
@@ -323,7 +311,6 @@ def describe_model(name: str) -> Mapping[str, Any]:
         "currencies": list(spec.currencies),
         "config_class": spec.config_cls.__name__,
         "config_keys": config_fields,
-        "replaces": spec.replaces,
         "transports": list(spec.transports),
         "capabilities": list(spec.capabilities),
         "kernel_backends": list(kernels.available_backends()),
@@ -341,12 +328,3 @@ def describe_problem(name: str) -> Mapping[str, Any]:
         "tags": list(spec.tags),
     }
 
-
-def warn_legacy_entry_point(old_name: str, model: str) -> None:
-    """Emit the deprecation warning for one legacy ``*_solve`` entry point."""
-    warnings.warn(
-        f"{old_name}() is deprecated; use repro.solve(problem, model={model!r}) "
-        f"(or repro.solve_many for batches) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )

@@ -387,7 +387,7 @@ class SolverService:
                 if (
                     attempt > 0
                     and checkpoint is not None
-                    and self._session.spec.warm_runner is not None
+                    and "warm_restart" in self._session.spec.capabilities
                 ):
                     warm = list(checkpoint.witnesses)
                 try:

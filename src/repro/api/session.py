@@ -28,9 +28,9 @@ how much prior state was reused.  Two mechanisms implement it:
   of the edited instance (one vectorised sweep) and the prior basis
   survived the edit, the basis is re-certified without entering the engine
   loop at all (``warm.fast_path``);
-* otherwise the model's registered ``warm_runner`` runs the ordinary
-  engine loop with its weight substrate seeded from the carried witnesses,
-  typically terminating in far fewer iterations than a cold start.
+* otherwise the model's driver runs the ordinary engine loop with its
+  weight substrate seeded from the carried witnesses, typically
+  terminating in far fewer iterations than a cold start.
 
 ``repro.solve`` / ``repro.compare_models`` / ``repro.solve_many`` are thin
 shims over an *ephemeral* session (one solve, no warm tracking) and remain
@@ -578,8 +578,8 @@ class Session:
         with pinned_transport(self._transport), shm.pinned_shm_owner(
             self._shm_token
         ), metered(budget), recovery_scope() as notes:
-            if warm_witnesses is not None and self.spec.warm_runner is not None:
-                result = self.spec.warm_runner(problem, config, warm_witnesses)
+            if warm_witnesses is not None:
+                result = self.spec.runner(problem, config, warm_witnesses)
             else:
                 result = self.spec.runner(problem, config)
         if notes.restarts:
@@ -606,13 +606,13 @@ class Session:
         Does not touch the session's problem or warm state, so concurrent
         ``run_cold`` calls (the :class:`~repro.api.service.SolverService`
         worker threads, ``solve_many``) are safe.  ``warm_witnesses`` (for
-        models with a warm runner) resumes from checkpointed basis
-        witnesses: by the warm==cold determinism contract the resumed solve
-        certifies the same basis, value, and witness as an uninterrupted
-        run — this is the service's checkpoint-recovery path.
+        models with the ``"warm_restart"`` capability) resumes from
+        checkpointed basis witnesses: by the warm==cold determinism contract
+        the resumed solve certifies the same basis, value, and witness as an
+        uninterrupted run — this is the service's checkpoint-recovery path.
         """
         self._check_open()
-        if warm_witnesses is not None and self.spec.warm_runner is None:
+        if "warm_restart" not in self.spec.capabilities:
             warm_witnesses = None
         return self._execute(problem, config or self.config, warm_witnesses, budget)
 
@@ -630,7 +630,7 @@ class Session:
         """
         self._check_open()
         config = self._config_for(overrides)
-        tracking = self._warm_tracking and self.spec.warm_runner is not None
+        tracking = self._warm_tracking and "warm_restart" in self.spec.capabilities
         result = self._execute(problem, config, [] if tracking else None, budget)
         self._adopt(problem, result)
         return result

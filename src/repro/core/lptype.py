@@ -28,13 +28,14 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .. import kernels
-from .exceptions import SolverError
+from .exceptions import InvalidInstanceError, SolverError
 
 __all__ = [
     "BasisResult",
     "ConstraintPack",
     "LPTypeProblem",
     "as_index_array",
+    "require_finite",
     "working_set_solve",
     "check_monotonicity",
     "check_locality",
@@ -60,6 +61,17 @@ def as_index_array(indices: Iterable[int]) -> np.ndarray:
     except (TypeError, ValueError):
         arr = np.asarray(list(indices), dtype=int)
     return arr.reshape(-1)
+
+
+def require_finite(**arrays: np.ndarray) -> None:
+    """Reject instance data holding NaN or inf with :class:`InvalidInstanceError`.
+
+    Every problem family's constructor calls this on its arrays, so a
+    non-finite row can never be silently dropped by a solver.
+    """
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise InvalidInstanceError(f"{name} contains non-finite values (NaN or inf)")
 
 
 def _as_selector(

@@ -130,16 +130,6 @@ class ResourceUsage:
             setattr(merged, name, max(getattr(usage, name) for usage in usages))
         return merged
 
-    def merge_max(self, other: "ResourceUsage") -> None:
-        """Point-wise maximum merge (used when combining sub-phases).
-
-        Shim over :meth:`aggregate` with ``mode="max"``, kept for callers
-        that update a record in place.
-        """
-        merged = ResourceUsage.aggregate([self, other], mode="max")
-        for name in self._ADDITIVE_FIELDS + self._PEAK_FIELDS:
-            setattr(self, name, getattr(merged, name))
-
 
 @dataclass(frozen=True)
 class CommunicationSummary:

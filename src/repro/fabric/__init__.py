@@ -17,9 +17,7 @@ substrates:
   and the single-reader stream, all feeding one shared
   :class:`~repro.core.accounting.RoundLedger`.
 
-The three model substrates (:mod:`repro.models.coordinator`,
-:mod:`repro.models.mpc`, :mod:`repro.models.streaming`) are thin bindings
-over this package, and the distributed drivers in :mod:`repro.algorithms`
+The distributed drivers in :mod:`repro.algorithms` and the baselines
 speak only to topologies — the same driver code runs unchanged on either
 transport and on either coordinator topology.
 """
@@ -31,14 +29,12 @@ from .payload import (
     Flag,
     IndexBlock,
     Payload,
-    RawBits,
     Scalar,
     StatsBlock,
     Vector,
     constraint_rows,
     decode_payload,
     encode_witness_vector,
-    measure_object_bits,
 )
 from .transport import (
     InProcessTransport,
@@ -65,9 +61,7 @@ __all__ = [
     "ConstraintBlock",
     "BasisPayload",
     "StatsBlock",
-    "RawBits",
     "decode_payload",
-    "measure_object_bits",
     "constraint_rows",
     "encode_witness_vector",
     "Transport",

@@ -5,10 +5,7 @@ below.  A payload knows how to serialize itself into a canonical wire format
 (:meth:`Payload.to_bytes` / :func:`decode_payload`) and its communication
 cost is **computed from that serialized form** — the coefficient and counter
 counts charged to the ledger are exactly the numbers written to the wire,
-so a caller can neither under- nor over-declare what a message costs.  This
-closes the under-counting hazard of the legacy
-:class:`repro.models.coordinator.Message`, whose ``bits`` field was
-caller-declared.
+so a caller can neither under- nor over-declare what a message costs.
 
 Wire format (little-endian): a one-byte payload kind, then each array field
 as ``(dtype code: 1 byte, element count: uint32, raw bytes)``.  The format
@@ -46,9 +43,7 @@ __all__ = [
     "ConstraintBlock",
     "BasisPayload",
     "StatsBlock",
-    "RawBits",
     "decode_payload",
-    "measure_object_bits",
     "constraint_rows",
 ]
 
@@ -314,37 +309,6 @@ class StatsBlock(Payload):
         return cls(values=reader.read_field())
 
 
-@dataclass(frozen=True)
-class RawBits(Payload):
-    """Legacy adapter: a payload whose bit size was declared by the caller.
-
-    Only the legacy :class:`repro.models.coordinator.Message` /
-    :class:`repro.models.mpc.MPCCluster` shims produce these; the fabric
-    drivers never do.  The declared size is trusted as-is, so the shims
-    behave exactly as before the fabric existed.
-    """
-
-    payload: Any
-    bits: int
-
-    kind = "raw"
-
-    def _fields(self) -> list[tuple[bytes, Any]]:
-        return [(_COUNT, np.asarray([self.bits]))]
-
-    def measured_bits(self, cost_model: BitCostModel) -> int:
-        return int(self.bits)
-
-    def to_bytes(self) -> bytes:  # the opaque payload does not serialize
-        parts: list[bytes] = [_KIND_BYTES[type(self)]]
-        _write_array(parts, np.asarray([self.bits]), _COUNT)
-        return b"".join(parts)
-
-    @classmethod
-    def _decode(cls, reader: _WireReader) -> "RawBits":
-        return cls(payload=None, bits=int(reader.read_field()[0]))
-
-
 _PAYLOAD_TYPES: tuple[type[Payload], ...] = (
     Flag,
     Count,
@@ -354,7 +318,6 @@ _PAYLOAD_TYPES: tuple[type[Payload], ...] = (
     ConstraintBlock,
     BasisPayload,
     StatsBlock,
-    RawBits,
 )
 _KIND_BYTES: Mapping[type, bytes] = {
     cls: bytes([i]) for i, cls in enumerate(_PAYLOAD_TYPES)
@@ -369,39 +332,6 @@ def decode_payload(data: "bytes | memoryview") -> Payload:
     reader = _WireReader(data)
     reader.offset = 1
     return _PAYLOAD_TYPES[kind]._decode(reader)
-
-
-def measure_object_bits(obj: Any, cost_model: BitCostModel) -> int:
-    """Measured bit size of an arbitrary (legacy) message payload.
-
-    Walks the object the way serialization would: floats are coefficients,
-    integers are counters, strings are protocol tags (zero bits), arrays are
-    charged per element by dtype, and containers sum their members.  Used by
-    the strict mode of the legacy :class:`~repro.models.coordinator.Message`
-    path to detect declared-vs-measured divergence.
-    """
-    if obj is None or isinstance(obj, str):
-        return 0
-    if isinstance(obj, Payload):
-        return obj.measured_bits(cost_model)
-    if isinstance(obj, (bool, int, np.integer)):
-        return cost_model.counters(1)
-    if isinstance(obj, (float, np.floating)):
-        return cost_model.coefficients(1)
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" or obj.dtype.kind == "c":
-            return cost_model.coefficients(int(obj.size))
-        if obj.dtype.kind in "iub":
-            return cost_model.counters(int(obj.size))
-        return sum(measure_object_bits(item, cost_model) for item in obj.reshape(-1))
-    if isinstance(obj, (tuple, list, set, frozenset)):
-        return sum(measure_object_bits(item, cost_model) for item in obj)
-    if isinstance(obj, Mapping):
-        return sum(measure_object_bits(value, cost_model) for value in obj.values())
-    raise TypeError(
-        f"cannot measure the bit size of a {type(obj).__name__} payload; "
-        "use a repro.fabric payload type"
-    )
 
 
 def constraint_rows(problem: "LPTypeProblem", indices: np.ndarray) -> np.ndarray:

@@ -133,7 +133,10 @@ class Topology:
 
     def measure(self, payload: Payload) -> int:
         """Measured bit size of one payload under this topology's cost model."""
-        return payload.measured_bits(self.cost_model)
+        bits = payload.measured_bits(self.cost_model)
+        if bits < 0:
+            raise ValueError(f"message size must be non-negative, got {bits}")
+        return bits
 
     def _note_message(self, bits: int) -> None:
         self.total_bits += bits
@@ -447,8 +450,6 @@ class GridTopology(Topology):
             if not 0 <= machine_id < self.num_nodes:
                 raise CommunicationError(f"machine {machine_id} does not exist")
         bits = self.measure(payload)
-        if bits < 0:
-            raise ValueError("bits must be non-negative")
         self._sent[source] += bits
         self._received[destination] += bits
         self._note_message(bits)

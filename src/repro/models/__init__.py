@@ -1,17 +1,6 @@
-"""Computation-model substrates: streaming, coordinator, and MPC simulators."""
+"""Model helpers kept beside the fabric: input partitioning and streaming memory."""
 
-from .coordinator import CoordinatorNetwork, Message, Site
-from .mpc import Machine, MPCCluster
 from .partition import partition_indices
-from .streaming import MultiPassStream, StreamingMemory
+from .streaming import StreamingMemory
 
-__all__ = [
-    "CoordinatorNetwork",
-    "Message",
-    "Site",
-    "Machine",
-    "MPCCluster",
-    "partition_indices",
-    "MultiPassStream",
-    "StreamingMemory",
-]
+__all__ = ["partition_indices", "StreamingMemory"]

@@ -1,79 +1,20 @@
-"""The multi-pass streaming substrate: a fabric binding.
+"""Peak-memory accounting for multi-pass streaming algorithms.
 
-A :class:`MultiPassStream` presents the constraint indices of a problem in a
-fixed (arbitrary, possibly adversarial) order.  Every call to :meth:`scan`
-is one pass; the algorithm may make as many passes as it likes.  Pass
-accounting (and the per-pass ledger surfaced through
+Pass accounting (and the per-pass ledger surfaced through
 ``SolveResult.communication``) lives in
 :class:`repro.fabric.topology.StreamTopology`; memory is accounted
 separately through a :class:`StreamingMemory` tracker: the algorithm reports
 what it currently stores (in items and in bits) and the tracker keeps the
 peak.
-
-The substrate never hands out the whole constraint set at once — drivers are
-expected to touch constraints only through the indices yielded by a scan, so
-the accounting is faithful to the model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
-
-import numpy as np
 
 from ..core.accounting import CostMeter
-from ..fabric.topology import StreamTopology
 
-__all__ = ["MultiPassStream", "StreamingMemory"]
-
-
-class MultiPassStream:
-    """A re-scannable stream of constraint indices over a stream topology.
-
-    Parameters
-    ----------
-    num_items:
-        Number of constraints in the stream.
-    order:
-        Optional permutation of ``range(num_items)`` giving the arrival
-        order; defaults to the natural order.
-    """
-
-    def __init__(self, num_items: int, order: Sequence[int] | np.ndarray | None = None) -> None:
-        self.topology = StreamTopology(num_items, order=order)
-        self._order = self.topology.order()
-
-    @property
-    def num_items(self) -> int:
-        return self.topology.num_items
-
-    @property
-    def passes(self) -> int:
-        """Number of completed or started passes so far."""
-        return self.topology.passes
-
-    def scan(self) -> Iterator[int]:
-        """Yield the constraint indices in stream order; counts as one pass."""
-        self.topology.record_pass()
-        yield from (int(i) for i in self._order)
-
-    def scan_chunks(self, chunk_size: int) -> Iterator[np.ndarray]:
-        """Yield the stream order in bounded contiguous chunks; one pass.
-
-        The block-buffered twin of :meth:`scan`: the same indices in the same
-        order, but handed out as read-only index arrays of at most
-        ``chunk_size`` items so that drivers can evaluate a whole block in
-        one vectorised sweep without a per-item Python loop.
-        """
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.topology.record_pass()
-        yield from StreamTopology.iter_chunks(self._order, chunk_size)
-
-    def order(self) -> np.ndarray:
-        """The arrival order (a copy)."""
-        return self._order.copy()
+__all__ = ["StreamingMemory"]
 
 
 @dataclass

@@ -24,6 +24,7 @@ from ..core.lptype import (
     ConstraintPack,
     LPTypeProblem,
     as_index_array,
+    require_finite,
     working_set_solve,
 )
 from .seidel import seidel_solve
@@ -144,6 +145,7 @@ class LinearProgram(LPTypeProblem):
             raise InvalidInstanceError(
                 f"{self.a.shape[0]} constraint rows but {self.b.size} right-hand sides"
             )
+        require_finite(c=self.c, a=self.a, b=self.b)
         if box_bound <= 0:
             raise InvalidInstanceError(f"box_bound must be positive, got {box_bound}")
         if solver not in ("highs", "seidel"):

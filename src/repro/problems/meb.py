@@ -35,6 +35,7 @@ from ..core.lptype import (
     ConstraintPack,
     LPTypeProblem,
     as_index_array,
+    require_finite,
     working_set_solve,
 )
 from ..core.rng import SeedLike, as_generator
@@ -113,6 +114,7 @@ class MinimumEnclosingBall(LPTypeProblem):
             raise InvalidInstanceError("points must be a 2-d array")
         if self.points.shape[0] == 0:
             raise InvalidInstanceError("point set must be non-empty")
+        require_finite(points=self.points)
         self.tolerance = float(tolerance)
         self._squared_norms = np.einsum("ij,ij->i", self.points, self.points)
 

@@ -33,6 +33,7 @@ from ..core.lptype import (
     ConstraintPack,
     LPTypeProblem,
     as_index_array,
+    require_finite,
     working_set_solve,
 )
 
@@ -215,6 +216,12 @@ class ConvexQuadraticProgram(LPTypeProblem):
                 f"{self.g_matrix.shape[0]} constraint rows but "
                 f"{self.h_vector.size} right-hand sides"
             )
+        require_finite(
+            q_matrix=self.q_matrix,
+            q_vector=self.q_vector,
+            g_matrix=self.g_matrix,
+            h_vector=self.h_vector,
+        )
         eigenvalues = np.linalg.eigvalsh(0.5 * (self.q_matrix + self.q_matrix.T))
         if eigenvalues.min() <= 0:
             raise InvalidInstanceError(

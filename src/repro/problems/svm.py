@@ -28,6 +28,7 @@ from ..core.lptype import (
     ConstraintPack,
     LPTypeProblem,
     as_index_array,
+    require_finite,
     working_set_solve,
 )
 from .qp import minimize_convex_qp
@@ -101,6 +102,7 @@ class LinearSVM(LPTypeProblem):
             )
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise InvalidInstanceError("labels must be -1 or +1")
+        require_finite(points=self.points)
         self.tolerance = float(tolerance)
         # Pre-compute the signed data matrix y_j * x_j used in every solve.
         self._signed = self.points * self.labels[:, None]

@@ -170,14 +170,6 @@ def test_aggregate_empty_and_invalid_mode():
         ResourceUsage.aggregate([_usage(1)], mode="median")
 
 
-def test_merge_max_shim_matches_aggregate():
-    left = _usage(1)
-    right = _usage(2)
-    expected = ResourceUsage.aggregate([left, right], mode="max")
-    left.merge_max(right)
-    assert left == expected
-
-
 def test_derived_seeds_are_position_stable():
     from repro.api.batch import derive_instance_seeds
 

@@ -125,6 +125,24 @@ class TestChanChen2D:
         many_passes = chan_chen_2d_streaming(lp, r=4)
         assert many_passes.resources.space_peak_items < few_passes.resources.space_peak_items
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_basis_is_exactly_the_tight_lines(self, seed):
+        rng = np.random.default_rng(seed)
+        lp = EnvelopeLP(
+            slopes=rng.normal(size=2000),
+            intercepts=rng.normal(size=2000),
+            x_low=-10.0,
+            x_high=10.0,
+        )
+        result = chan_chen_2d_streaming(lp, r=3)
+        x, y = result.witness
+        gap = np.abs(lp.slopes * x + lp.intercepts - y) / max(1.0, abs(y))
+        reported = list(result.basis_indices)
+        # Every reported line attains the envelope minimum ...
+        assert reported and np.all(gap[reported] <= 1e-8)
+        # ... and every line that attains it is reported.
+        assert set(np.flatnonzero(gap <= 1e-12).tolist()) <= set(reported)
+
     def test_empty_instance_rejected(self):
         lp = EnvelopeLP(slopes=np.zeros(0), intercepts=np.zeros(0), x_low=0.0, x_high=1.0)
         with pytest.raises(InvalidInstanceError):

@@ -5,13 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.clarkson import (
-    ClarksonParameters,
-    clarkson_solve,
-    practical_parameters,
-    resolve_sampling,
-    solve_small_problem,
-)
+from repro import SolverConfig, solve
+from repro.core.clarkson import resolve_sampling, solve_small_problem
 from repro.workloads import (
     make_separable_classification,
     random_feasible_lp,
@@ -27,42 +22,42 @@ from tests.conftest import assert_objective_close, fast_params
 class TestResolveSampling:
     def test_defaults_use_lemma_bound(self):
         problem = random_feasible_lp(100, 2, seed=0).problem
-        size, eps = resolve_sampling(problem, ClarksonParameters(r=2))
+        size, eps = resolve_sampling(problem, SolverConfig(r=2))
         assert size == 100  # the Lemma 2.2 bound exceeds n at this scale
         assert eps == pytest.approx(1.0 / (10 * 3 * 10.0))
 
     def test_overrides_respected(self):
         problem = random_feasible_lp(100, 2, seed=0).problem
-        params = ClarksonParameters(r=2, sample_size=37, success_threshold=0.05)
-        size, eps = resolve_sampling(problem, params)
+        config = SolverConfig(r=2, sample_size=37, success_threshold=0.05)
+        size, eps = resolve_sampling(problem, config)
         assert size == 37
         assert eps == pytest.approx(0.05)
 
     def test_sample_size_capped_at_n(self):
         problem = random_feasible_lp(50, 2, seed=0).problem
-        params = ClarksonParameters(r=2, sample_size=500)
-        size, _ = resolve_sampling(problem, params)
+        config = SolverConfig(r=2, sample_size=500)
+        size, _ = resolve_sampling(problem, config)
         assert size == 50
 
 
 class TestPracticalParameters:
     def test_scaling_with_n(self):
-        small = practical_parameters(random_feasible_lp(1000, 2, seed=0).problem, r=2)
-        large = practical_parameters(random_feasible_lp(16000, 2, seed=0).problem, r=2)
+        small = SolverConfig.practical(random_feasible_lp(1000, 2, seed=0).problem, r=2)
+        large = SolverConfig.practical(random_feasible_lp(16000, 2, seed=0).problem, r=2)
         # Sample size grows roughly like sqrt(n) for r=2 (up to the log factor).
         assert large.sample_size > small.sample_size
         assert large.sample_size < 16000
 
     def test_threshold_small_enough_for_iteration_bound(self):
         problem = random_feasible_lp(5000, 2, seed=0).problem
-        params = practical_parameters(problem, r=2)
+        config = SolverConfig.practical(problem, r=2)
         n, nu, r = 5000, 3, 2
-        assert params.success_threshold <= np.log(n) / (2 * nu * r * n ** 0.5) + 1e-12
+        assert config.success_threshold <= np.log(n) / (2 * nu * r * n ** 0.5) + 1e-12
 
     def test_invalid_r(self):
         problem = random_feasible_lp(100, 2, seed=0).problem
         with pytest.raises(ValueError):
-            practical_parameters(problem, r=0)
+            SolverConfig.practical(problem, r=0)
 
 
 class TestSolveSmallProblem:
@@ -78,50 +73,60 @@ class TestClarksonSolveLP:
     def test_matches_exact_optimum(self, seed):
         instance = random_polytope_lp(1500, 2, seed=seed)
         exact = instance.problem.solve()
-        result = clarkson_solve(instance.problem, params=fast_params(), rng=seed)
+        result = solve(instance.problem, model="sequential", seed=seed, **fast_params())
         assert_objective_close(result.value, exact.value)
 
     def test_final_witness_is_feasible(self):
         instance = random_feasible_lp(1200, 3, seed=5)
-        result = clarkson_solve(instance.problem, params=fast_params(sample_size=500), rng=1)
+        result = solve(
+            instance.problem, model="sequential", seed=1, **fast_params(sample_size=500)
+        )
         assert instance.problem.is_feasible(result.witness)
 
     def test_small_problem_falls_back_to_direct(self):
         problem = random_feasible_lp(50, 2, seed=2).problem
-        result = clarkson_solve(problem, params=ClarksonParameters(r=2), rng=0)
+        result = solve(problem, model="sequential", r=2, seed=0)
         assert result.metadata["r"] == 2
         assert result.iterations == 1
 
     def test_iteration_trace_recorded(self):
         instance = random_polytope_lp(1500, 2, seed=3)
-        result = clarkson_solve(instance.problem, params=fast_params(), rng=2)
+        result = solve(instance.problem, model="sequential", seed=2, **fast_params())
         assert len(result.trace) == result.iterations
         assert result.trace[-1].num_violators == 0
         assert all(rec.sample_size > 0 for rec in result.trace)
 
     def test_successful_iterations_bounded(self):
         instance = random_polytope_lp(2000, 2, seed=4)
-        params = practical_parameters(instance.problem, r=2)
-        result = clarkson_solve(instance.problem, params=params, rng=3)
+        config = SolverConfig.practical(instance.problem, r=2, seed=3)
+        result = solve(instance.problem, model="sequential", config=config)
         nu, r = 3, 2
         assert result.successful_iterations <= 4 * nu * r
 
     def test_space_is_sublinear_with_small_samples(self):
         instance = random_polytope_lp(3000, 2, seed=5)
-        result = clarkson_solve(instance.problem, params=fast_params(sample_size=300), rng=4)
+        result = solve(
+            instance.problem, model="sequential", seed=4, **fast_params(sample_size=300)
+        )
         assert result.resources.space_peak_items < 3000
 
     def test_classic_boost_needs_more_iterations(self):
         instance = random_polytope_lp(2000, 2, seed=6)
-        fast = clarkson_solve(
-            instance.problem, params=fast_params(sample_size=300, threshold=0.02), rng=5
-        )
-        slow = clarkson_solve(
+        fast = solve(
             instance.problem,
-            params=ClarksonParameters(
-                r=2, sample_size=300, success_threshold=0.02, boost=2.0, max_iterations=2000
-            ),
-            rng=5,
+            model="sequential",
+            seed=5,
+            **fast_params(sample_size=300, threshold=0.02),
+        )
+        slow = solve(
+            instance.problem,
+            model="sequential",
+            r=2,
+            sample_size=300,
+            success_threshold=0.02,
+            boost=2.0,
+            max_iterations=2000,
+            seed=5,
         )
         assert_objective_close(fast.value, slow.value)
         assert slow.successful_iterations >= fast.successful_iterations
@@ -131,7 +136,7 @@ class TestClarksonSolveLP:
         problem.a = problem.a[:0]
         problem.b = problem.b[:0]
         with pytest.raises(ValueError):
-            clarkson_solve(problem)
+            solve(problem, model="sequential")
 
 
 class TestClarksonSolveOtherProblems:
@@ -139,7 +144,7 @@ class TestClarksonSolveOtherProblems:
         data = make_separable_classification(1200, 2, seed=7, margin=0.4)
         problem = svm_problem(data)
         exact = problem.solve()
-        result = clarkson_solve(problem, params=fast_params(sample_size=250), rng=6)
+        result = solve(problem, model="sequential", seed=6, **fast_params(sample_size=250))
         assert result.value.squared_norm == pytest.approx(
             exact.value.squared_norm, rel=1e-3
         )
@@ -148,5 +153,5 @@ class TestClarksonSolveOtherProblems:
         points = uniform_ball_points(1500, 2, radius=3.0, seed=8)
         problem = MinimumEnclosingBall(points=points)
         exact = problem.solve()
-        result = clarkson_solve(problem, params=fast_params(sample_size=250), rng=7)
+        result = solve(problem, model="sequential", seed=7, **fast_params(sample_size=250))
         assert result.value.radius == pytest.approx(exact.value.radius, rel=1e-3)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro import solve
-from repro.core.clarkson import ClarksonParameters
 from repro.lower_bounds import (
     interactive_tci_protocol,
     sample_hard_instance,
@@ -78,18 +77,15 @@ def test_fabric_and_protocol_measure_the_same_currency():
     two-party protocol."""
     hard = sample_hard_instance(branching=20, rounds=2, seed=9)
     lp = tci_to_linear_program(hard.instance)
-    params = ClarksonParameters(
-        r=2, sample_size=100, success_threshold=0.05, max_iterations=500
-    )
     result = solve(
         lp,
         model="coordinator",
         num_sites=2,
         r=2,
         seed=4,
-        sample_size=params.sample_size,
-        success_threshold=params.success_threshold,
-        max_iterations=params.max_iterations,
+        sample_size=100,
+        success_threshold=0.05,
+        max_iterations=500,
     )
     protocol = interactive_tci_protocol(hard.instance, rounds=2)
     assert result.resources.total_communication_bits > 0

@@ -12,13 +12,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms import (
-    coordinator_clarkson_solve,
-    mpc_clarkson_solve,
-    streaming_clarkson_solve,
+from repro import solve
+from repro.api import get_model
+from repro.core.exceptions import InvalidInstanceError
+from repro.problems import (
+    ConvexQuadraticProgram,
+    LinearProgram,
+    LinearSVM,
+    MinimumEnclosingBall,
 )
-from repro.core.clarkson import clarkson_solve
-from repro.problems import ConvexQuadraticProgram, MinimumEnclosingBall
 from repro.workloads import (
     make_separable_classification,
     random_polytope_lp,
@@ -72,14 +74,12 @@ def test_all_four_models_agree(make_problem):
     exact = _scalar(problem.solve().value)
 
     results = {
-        "sequential": clarkson_solve(problem, params=params, rng=1),
-        "streaming": streaming_clarkson_solve(problem, r=2, params=params, rng=2),
-        "coordinator": coordinator_clarkson_solve(
-            problem, num_sites=4, r=2, params=params, rng=3
+        "sequential": solve(problem, model="sequential", seed=1, **params),
+        "streaming": solve(problem, model="streaming", seed=2, **params),
+        "coordinator": solve(
+            problem, model="coordinator", num_sites=4, seed=3, **params
         ),
-        "mpc": mpc_clarkson_solve(
-            problem, delta=0.5, num_machines=8, params=params, rng=4
-        ),
+        "mpc": solve(problem, model="mpc", delta=0.5, num_machines=8, seed=4, **params),
     }
 
     for name, result in results.items():
@@ -102,11 +102,60 @@ def test_engine_metadata_consistent_across_models(make_problem):
     """All drivers resolve the same sampling regime for the same parameters."""
     problem = make_problem()
     params = fast_params(sample_size=350)
-    seq = clarkson_solve(problem, params=params, rng=1)
-    stream = streaming_clarkson_solve(problem, r=2, params=params, rng=2)
-    coord = coordinator_clarkson_solve(problem, num_sites=4, r=2, params=params, rng=3)
-    mpc = mpc_clarkson_solve(problem, delta=0.5, num_machines=8, params=params, rng=4)
+    seq = solve(problem, model="sequential", seed=1, **params)
+    stream = solve(problem, model="streaming", seed=2, **params)
+    coord = solve(problem, model="coordinator", num_sites=4, seed=3, **params)
+    mpc = solve(problem, model="mpc", delta=0.5, num_machines=8, seed=4, **params)
     sizes = {r.metadata["sample_size"] for r in (seq, stream, coord, mpc)}
     epsilons = {r.metadata["epsilon"] for r in (seq, stream, coord, mpc)}
     boosts = {r.metadata["boost"] for r in (seq, stream, coord, mpc)}
     assert len(sizes) == 1 and len(epsilons) == 1 and len(boosts) == 1
+
+
+@pytest.mark.parametrize(
+    "make_problem", [_lp_instance, _meb_instance, _svm_instance, _qp_instance],
+    ids=["lp", "meb", "svm", "qp"],
+)
+def test_ship_all_baseline_matches_coordinator_ship_all_path(make_problem):
+    """The baseline and the coordinator's small-instance path run the same
+    one-round exchange, so they report the same resources."""
+    problem = make_problem()
+    n = problem.num_constraints
+    baseline = solve(problem, model="ship_all_coordinator", num_sites=4)
+    coordinator = solve(problem, model="coordinator", num_sites=4, sample_size=n)
+    for currency in get_model("ship_all_coordinator").currencies:
+        assert getattr(baseline.resources, currency) == getattr(
+            coordinator.resources, currency
+        ), currency
+    assert baseline.resources.max_machine_load_bits > 0
+
+
+def _poisoned(array, index, value):
+    """A copy of ``array`` with one entry replaced by ``value``."""
+    array = np.array(array, dtype=float)
+    array[index] = value
+    return array
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["lp-nan-row", "lp-inf-rhs", "lp-nan-objective", "meb-nan-point",
+     "svm-nan-coordinate", "qp-nan-constraint"],
+)
+def test_non_finite_instances_are_rejected(case):
+    """A NaN/inf entry is a malformed instance, never a constraint to drop."""
+    lp, meb, svm, qp = _lp_instance(), _meb_instance(), _svm_instance(), _qp_instance()
+    build = {
+        "lp-nan-row": lambda: LinearProgram(lp.c, _poisoned(lp.a, 5, np.nan), lp.b),
+        "lp-inf-rhs": lambda: LinearProgram(lp.c, lp.a, _poisoned(lp.b, 3, np.inf)),
+        "lp-nan-objective": lambda: LinearProgram(_poisoned(lp.c, 0, np.nan), lp.a, lp.b),
+        "meb-nan-point": lambda: MinimumEnclosingBall(_poisoned(meb.points, (5, 0), np.nan)),
+        "svm-nan-coordinate": lambda: LinearSVM(
+            _poisoned(svm.points, (5, 1), np.nan), svm.labels
+        ),
+        "qp-nan-constraint": lambda: ConvexQuadraticProgram(
+            qp.q_matrix, qp.q_vector, _poisoned(qp.g_matrix, (5, 0), np.nan), qp.h_vector
+        ),
+    }[case]
+    with pytest.raises(InvalidInstanceError, match="non-finite"):
+        build()

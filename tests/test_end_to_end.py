@@ -5,13 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms import (
-    coordinator_clarkson_solve,
-    exact_in_memory,
-    mpc_clarkson_solve,
-    streaming_clarkson_solve,
-)
-from repro.core import clarkson_solve
+from repro import solve
+from repro.algorithms import exact_in_memory
 from repro.lower_bounds import (
     interactive_tci_protocol,
     sample_hard_instance,
@@ -38,13 +33,18 @@ class TestAllModelsAgree:
         exact = exact_in_memory(instance.problem)
         params = fast_params(sample_size=350)
         results = [
-            clarkson_solve(instance.problem, params=params, rng=seed),
-            streaming_clarkson_solve(instance.problem, r=2, params=params, rng=seed),
-            coordinator_clarkson_solve(
-                instance.problem, num_sites=4, r=2, params=params, rng=seed
+            solve(instance.problem, model="sequential", seed=seed, **params),
+            solve(instance.problem, model="streaming", seed=seed, **params),
+            solve(
+                instance.problem, model="coordinator", num_sites=4, seed=seed, **params
             ),
-            mpc_clarkson_solve(
-                instance.problem, delta=0.5, num_machines=8, params=params, rng=seed
+            solve(
+                instance.problem,
+                model="mpc",
+                delta=0.5,
+                num_machines=8,
+                seed=seed,
+                **params,
             ),
         ]
         for result in results:
@@ -55,8 +55,8 @@ class TestAllModelsAgree:
         lp = chebyshev_regression_lp(data)
         exact = exact_in_memory(lp)
         params = fast_params(sample_size=500)
-        stream = streaming_clarkson_solve(lp, r=2, params=params, rng=1)
-        coord = coordinator_clarkson_solve(lp, num_sites=4, r=2, params=params, rng=1)
+        stream = solve(lp, model="streaming", seed=1, **params)
+        coord = solve(lp, model="coordinator", num_sites=4, seed=1, **params)
         assert_objective_close(stream.value, exact.value)
         assert_objective_close(coord.value, exact.value)
         # The recovered max-residual is no larger than the noise level.
@@ -67,8 +67,8 @@ class TestAllModelsAgree:
         problem = svm_problem(data)
         exact = exact_in_memory(problem)
         params = fast_params(sample_size=250)
-        stream = streaming_clarkson_solve(problem, r=2, params=params, rng=2)
-        coord = coordinator_clarkson_solve(problem, num_sites=3, r=2, params=params, rng=2)
+        stream = solve(problem, model="streaming", seed=2, **params)
+        coord = solve(problem, model="coordinator", num_sites=3, seed=2, **params)
         assert stream.value.squared_norm == pytest.approx(
             exact.value.squared_norm, rel=1e-3
         )
@@ -86,14 +86,14 @@ class TestLowerBoundPipeline:
     def test_hard_instance_solved_by_streaming_lp(self):
         hard = sample_hard_instance(branching=6, rounds=2, seed=5)  # n = 36 points
         lp = tci_to_linear_program(hard.instance)
-        result = streaming_clarkson_solve(lp, r=2, rng=3)
+        result = solve(lp, model="streaming", r=2, seed=3)
         decoded = lp_optimum_to_index(result.witness[0], hard.instance.length)
         assert decoded == hard.answer
 
     def test_hard_instance_solved_by_coordinator_lp(self):
         hard = sample_hard_instance(branching=6, rounds=2, seed=6)
         lp = tci_to_linear_program(hard.instance)
-        result = coordinator_clarkson_solve(lp, num_sites=2, r=2, rng=4)
+        result = solve(lp, model="coordinator", num_sites=2, r=2, seed=4)
         decoded = lp_optimum_to_index(result.witness[0], hard.instance.length)
         assert decoded == hard.answer
 
@@ -108,9 +108,7 @@ class TestLowerBoundPipeline:
 class TestResultSummaries:
     def test_summary_contains_model_costs(self):
         instance = random_polytope_lp(1500, 2, seed=8)
-        result = streaming_clarkson_solve(
-            instance.problem, r=2, params=fast_params(), rng=5
-        )
+        result = solve(instance.problem, model="streaming", seed=5, **fast_params())
         summary = result.summary()
         assert summary["passes"] == result.resources.passes
         assert summary["space_peak_items"] == result.resources.space_peak_items

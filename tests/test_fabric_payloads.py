@@ -6,22 +6,18 @@ import numpy as np
 import pytest
 
 from repro.core.accounting import BitCostModel
-from repro.core.exceptions import CommunicationError
 from repro.fabric.payload import (
     BasisPayload,
     ConstraintBlock,
     Count,
     Flag,
     IndexBlock,
-    RawBits,
     Scalar,
     StatsBlock,
     Vector,
     constraint_rows,
     decode_payload,
-    measure_object_bits,
 )
-from repro.models.coordinator import CoordinatorNetwork, Message
 from repro.workloads import random_feasible_lp
 
 COST = BitCostModel()  # 64-bit coefficients, 32-bit counters
@@ -103,29 +99,6 @@ class TestMeasuredBits:
         block = ConstraintBlock(indices=np.arange(2), rows=np.zeros((2, 3)))
         assert block.measured_bits(cheap) == 8 * 6 + 4 * 2
 
-    def test_raw_bits_is_declared(self):
-        assert RawBits(payload="anything", bits=1234).measured_bits(COST) == 1234
-
-
-class TestMeasureObjectBits:
-    def test_scalars_and_containers(self):
-        assert measure_object_bits(3, COST) == COST.counters(1)
-        assert measure_object_bits(2.5, COST) == COST.coefficients(1)
-        assert measure_object_bits("tag", COST) == 0
-        assert measure_object_bits(None, COST) == 0
-        assert (
-            measure_object_bits(("basis", 1, 2.0), COST)
-            == COST.counters(1) + COST.coefficients(1)
-        )
-
-    def test_arrays_by_dtype(self):
-        assert measure_object_bits(np.zeros(4), COST) == COST.coefficients(4)
-        assert measure_object_bits(np.arange(4), COST) == COST.counters(4)
-
-    def test_unmeasurable_object_is_loud(self):
-        with pytest.raises(TypeError):
-            measure_object_bits(object(), COST)
-
 
 class TestConstraintRows:
     def test_rows_have_payload_width(self):
@@ -141,44 +114,6 @@ class TestConstraintRows:
             0,
             problem.payload_num_coefficients(),
         )
-
-
-class TestStrictMessageMode:
-    """Satellite: the legacy declared-bits Message under-counting hazard."""
-
-    @staticmethod
-    def _network(strict):
-        parts = [np.arange(0, 4), np.arange(4, 8)]
-        return CoordinatorNetwork(parts, strict_bits=strict)
-
-    def test_under_declared_bits_raise_in_strict_mode(self):
-        network = self._network(strict=True)
-        network.begin_round()
-        payload = np.zeros(10)  # 10 coefficients = 640 measured bits
-        with pytest.raises(CommunicationError, match="diverges"):
-            network.coordinator_to_site(0, Message(payload, bits=64))
-
-    def test_over_declared_bits_also_diverge(self):
-        network = self._network(strict=True)
-        network.begin_round()
-        with pytest.raises(CommunicationError, match="diverges"):
-            network.site_to_coordinator(0, Message(1, bits=999))
-
-    def test_measured_messages_pass_strict_mode(self):
-        network = self._network(strict=True)
-        network.begin_round()
-        payload = ("totals", np.zeros(3))
-        network.coordinator_to_site(0, Message.measured(payload))
-        network.site_to_coordinator(0, Message.measured(np.arange(5)))
-        network.end_round()
-        assert network.total_bits == COST.coefficients(3) + COST.counters(5)
-
-    def test_default_mode_trusts_declarations(self):
-        network = self._network(strict=False)
-        network.begin_round()
-        network.coordinator_to_site(0, Message(np.zeros(10), bits=64))
-        network.end_round()
-        assert network.total_bits == 64
 
 
 class TestConstraintRowsCarryRealData:

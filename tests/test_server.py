@@ -184,6 +184,24 @@ def test_malformed_problem_answers_400_with_field(client):
     assert excinfo.value.field == "problem.a"
 
 
+def test_non_finite_problem_answers_400(server):
+    import http.client as http_client
+
+    problem = encode_problem(_instance("lp"))
+    problem["a"][5][0] = float("nan")  # json.dumps writes the NaN token
+    host, port = server.address
+    conn = http_client.HTTPConnection(host, port, timeout=10)
+    try:
+        conn.request("POST", "/v1/solve", body=json.dumps({"problem": problem}))
+        response = conn.getresponse()
+        body = json.loads(response.read())
+    finally:
+        conn.close()
+    assert response.status == 400
+    assert body["error"]["field"] == "problem"
+    assert "non-finite" in body["error"]["message"]
+
+
 def test_unknown_model_answers_400(client):
     with pytest.raises(RequestValidationError) as excinfo:
         client.submit(_instance("lp"), model="no-such-model")

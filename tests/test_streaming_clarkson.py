@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms import single_pass_full_memory_streaming, streaming_clarkson_solve
-from repro.core.clarkson import ClarksonParameters
+from repro import solve
+from repro.algorithms import single_pass_full_memory_streaming
 from repro.problems import MinimumEnclosingBall
 from repro.workloads import (
     make_separable_classification,
@@ -26,9 +26,7 @@ class TestCorrectness:
     def test_matches_exact_optimum_lp(self, seed):
         instance = random_polytope_lp(1500, 2, seed=seed)
         exact = instance.problem.solve()
-        result = streaming_clarkson_solve(
-            instance.problem, r=2, params=fast_params(), rng=seed
-        )
+        result = solve(instance.problem, model="streaming", seed=seed, **fast_params())
         assert_objective_close(result.value, exact.value)
 
     def test_order_insensitive(self):
@@ -39,8 +37,12 @@ class TestCorrectness:
             instance.problem.a, instance.problem.b, np.zeros(2)
         )
         for order in (shuffled, adversarial):
-            result = streaming_clarkson_solve(
-                instance.problem, r=2, order=order, params=fast_params(), rng=2
+            result = solve(
+                instance.problem,
+                model="streaming",
+                order=order,
+                seed=2,
+                **fast_params(),
             )
             assert_objective_close(result.value, exact.value)
 
@@ -48,8 +50,8 @@ class TestCorrectness:
         data = make_separable_classification(1200, 2, seed=3, margin=0.4)
         problem = svm_problem(data)
         exact = problem.solve()
-        result = streaming_clarkson_solve(
-            problem, r=2, params=fast_params(sample_size=250), rng=3
+        result = solve(
+            problem, model="streaming", seed=3, **fast_params(sample_size=250)
         )
         assert result.value.squared_norm == pytest.approx(
             exact.value.squared_norm, rel=1e-3
@@ -59,16 +61,16 @@ class TestCorrectness:
         points = uniform_ball_points(1500, 2, radius=2.0, seed=4)
         problem = MinimumEnclosingBall(points=points)
         exact = problem.solve()
-        result = streaming_clarkson_solve(
-            problem, r=2, params=fast_params(sample_size=250), rng=4
+        result = solve(
+            problem, model="streaming", seed=4, **fast_params(sample_size=250)
         )
         assert result.value.radius == pytest.approx(exact.value.radius, rel=1e-3)
 
     def test_matches_trivial_baseline(self):
         instance = random_feasible_lp(900, 3, seed=5)
         baseline = single_pass_full_memory_streaming(instance.problem)
-        result = streaming_clarkson_solve(
-            instance.problem, r=2, params=fast_params(sample_size=400), rng=5
+        result = solve(
+            instance.problem, model="streaming", seed=5, **fast_params(sample_size=400)
         )
         assert_objective_close(result.value, baseline.value)
 
@@ -76,15 +78,13 @@ class TestCorrectness:
 class TestResourceAccounting:
     def test_two_passes_per_iteration(self):
         instance = random_polytope_lp(1500, 2, seed=6)
-        result = streaming_clarkson_solve(
-            instance.problem, r=2, params=fast_params(), rng=6
-        )
+        result = solve(instance.problem, model="streaming", seed=6, **fast_params())
         assert result.resources.passes == 2 * result.iterations
 
     def test_pass_count_within_theorem_bound(self):
         instance = random_polytope_lp(2000, 2, seed=7)
-        result = streaming_clarkson_solve(
-            instance.problem, r=2, params=fast_params(sample_size=400), rng=7
+        result = solve(
+            instance.problem, model="streaming", seed=7, **fast_params(sample_size=400)
         )
         nu, r = 3, 2
         # Theorem 1 allows O(nu * r) iterations; with the 2-passes-per-iteration
@@ -93,8 +93,8 @@ class TestResourceAccounting:
 
     def test_space_is_sublinear(self):
         instance = random_polytope_lp(4000, 2, seed=8)
-        result = streaming_clarkson_solve(
-            instance.problem, r=2, params=fast_params(sample_size=300), rng=8
+        result = solve(
+            instance.problem, model="streaming", seed=8, **fast_params(sample_size=300)
         )
         assert 0 < result.resources.space_peak_items < 4000
         assert result.resources.space_peak_bits == result.resources.space_peak_items * instance.problem.bit_size()
@@ -102,24 +102,30 @@ class TestResourceAccounting:
     def test_space_grows_with_r_decrease(self):
         """Smaller r needs bigger samples (the pass/space trade-off)."""
         instance = random_polytope_lp(2500, 2, seed=9)
-        small_sample = streaming_clarkson_solve(
-            instance.problem, r=3, params=fast_params(r=3, sample_size=200), rng=9
+        small_sample = solve(
+            instance.problem,
+            model="streaming",
+            seed=9,
+            **fast_params(r=3, sample_size=200),
         )
-        large_sample = streaming_clarkson_solve(
-            instance.problem, r=1, params=fast_params(r=1, sample_size=1200), rng=9
+        large_sample = solve(
+            instance.problem,
+            model="streaming",
+            seed=9,
+            **fast_params(r=1, sample_size=1200),
         )
         assert large_sample.resources.space_peak_items > small_sample.resources.space_peak_items
 
     def test_small_problem_single_pass(self):
         problem = random_feasible_lp(60, 2, seed=10).problem
-        result = streaming_clarkson_solve(problem, r=2, rng=10)
+        result = solve(problem, model="streaming", r=2, seed=10)
         assert result.resources.passes == 1
         assert result.resources.space_peak_items == 60
 
     def test_metadata_records_parameters(self):
         instance = random_polytope_lp(1500, 2, seed=11)
-        result = streaming_clarkson_solve(
-            instance.problem, r=3, params=fast_params(r=3), rng=11
+        result = solve(
+            instance.problem, model="streaming", seed=11, **fast_params(r=3)
         )
         assert result.metadata["algorithm"] == "streaming_clarkson"
         assert result.metadata["r"] == 3
@@ -129,9 +135,7 @@ class TestResourceAccounting:
 class TestTraceConsistency:
     def test_trace_matches_iterations_and_final_state(self):
         instance = random_polytope_lp(1500, 2, seed=12)
-        result = streaming_clarkson_solve(
-            instance.problem, r=2, params=fast_params(), rng=12
-        )
+        result = solve(instance.problem, model="streaming", seed=12, **fast_params())
         assert len(result.trace) == result.iterations
         assert result.trace[-1].num_violators == 0
         successful = sum(1 for rec in result.trace if rec.successful and rec.num_violators > 0)
@@ -139,8 +143,14 @@ class TestTraceConsistency:
 
     def test_keep_trace_disabled(self):
         instance = random_polytope_lp(1200, 2, seed=13)
-        params = ClarksonParameters(
-            r=2, sample_size=400, success_threshold=0.02, keep_trace=False, max_iterations=500
+        result = solve(
+            instance.problem,
+            model="streaming",
+            r=2,
+            sample_size=400,
+            success_threshold=0.02,
+            keep_trace=False,
+            max_iterations=500,
+            seed=13,
         )
-        result = streaming_clarkson_solve(instance.problem, r=2, params=params, rng=13)
         assert result.trace == []
