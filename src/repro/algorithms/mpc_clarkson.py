@@ -24,7 +24,10 @@ All communication flows through a
 the stored bases, the per-machine RNG derived from the run seed) lives with
 the configured :class:`~repro.fabric.transport.Transport` — in-process by
 default, real worker processes with ``TransportConfig(kind="process")`` —
-with bit-identical results either way.
+with bit-identical results either way.  On the in-process simulator the
+machine tasks run in their batched forms (``fn.batched``): one kernel pass
+over all machines' rows per step instead of one per machine, with each
+machine's RNG draws unchanged.
 
 With ``r = ceil(1/delta)`` iterations of Algorithm 1 behaving as in the
 coordinator model, the total round count is ``O(nu / delta^2)`` and the
@@ -37,6 +40,7 @@ basis-broadcast and statistics trees inside the weight substrate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 from typing import Optional, Sequence
@@ -110,11 +114,19 @@ def _machine_weights(state: dict) -> tuple[np.ndarray, np.ndarray]:
             exponents = state["problem"].violation_count_matrix(
                 state["witnesses"], state["local_indices"]
             )
-        relative = (exponents - version).astype(float)
-        state["log_weights"] = relative * float(np.log(state["boost"]))
-        state["weights"] = state["boost"] ** relative
+        state["weights"], state["log_weights"] = _implicit_weights(
+            exponents, version, state["boost"]
+        )
         state["weights_version"] = version
     return state["weights"], state["log_weights"]
+
+
+def _implicit_weights(
+    exponents: np.ndarray, version: int, boost: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``boost ** (exponents - version)`` and its natural log."""
+    relative = (exponents - version).astype(float)
+    return boost ** relative, relative * float(np.log(boost))
 
 
 def _machine_weight_total(state: dict) -> tuple[dict, float]:
@@ -165,6 +177,116 @@ def _machine_store_witness(state: dict, witness) -> tuple[dict, None]:
     """A successful iteration's basis arrived: extend the implicit weights."""
     state["witnesses"].append(witness)
     return state, None
+
+
+# ---------------------------------------------------------------------- #
+# Batched forms of the machine tasks (``fn.batched``, in-process transport).
+# Each takes every listed machine state at once, updates them in place, and
+# returns the per-machine results of the task above, bit for bit.
+# ---------------------------------------------------------------------- #
+
+
+def _segments(states: list[dict]) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The listed machines' local constraints laid end to end.
+
+    Returns the concatenated ``local_indices`` and each machine's
+    ``(start, stop)`` within them.  One kernel pass over the whole
+    constraint pack serves every machine: its per-row results, gathered at
+    the concatenated indices, give each machine its own segment (per-row
+    values do not depend on which rows a pass covers).
+    """
+    parts = [state["local_indices"] for state in states]
+    bounds = list(itertools.accumulate((part.size for part in parts), initial=0))
+    return np.concatenate(parts), list(zip(bounds[:-1], bounds[1:]))
+
+
+def _refresh_weights(states: list[dict]) -> None:
+    """Bring every listed machine's implicit weights up to date.
+
+    When all stale machines hold the same stored bases (every machine
+    receives each broadcast basis), their exponents come from one
+    ``violation_count_matrix`` over all rows and each machine gets views of
+    its segment; otherwise each stale machine refreshes on its own.
+    """
+    live = [state for state in states if state["local_indices"].size]
+    stale = [
+        state for state in live if state.get("weights_version") != len(state["witnesses"])
+    ]
+    if not stale:
+        return
+    first = stale[0]
+    witnesses = first["witnesses"]
+    shared = len(stale) == len(live) and all(
+        state["boost"] == first["boost"]
+        and state.get("kernel") == first.get("kernel")
+        and len(state["witnesses"]) == len(witnesses)
+        and all(a is b for a, b in zip(state["witnesses"], witnesses))
+        for state in stale
+    )
+    if not shared:
+        for state in stale:
+            _machine_weights(state)
+        return
+    version = len(witnesses)
+    indices, segments = _segments(live)
+    with kernels.use_backend(first.get("kernel")):
+        exponents = first["problem"].violation_count_matrix(witnesses, None)[indices]
+    weights, log_weights = _implicit_weights(exponents, version, first["boost"])
+    for state, (start, stop) in zip(live, segments):
+        state["weights"] = weights[start:stop]
+        state["log_weights"] = log_weights[start:stop]
+        state["weights_version"] = version
+
+
+def _machines_weight_total(states: list[dict], args_list: list[tuple]) -> list[float]:
+    _refresh_weights(states)
+    return [
+        float(state["weights"].sum()) if state["local_indices"].size else 0.0
+        for state in states
+    ]
+
+
+def _machines_sample(
+    states: list[dict], args_list: list[tuple]
+) -> list[Optional[ConstraintBlock]]:
+    # The draws stay per machine: each consumes its own RNG stream.
+    _refresh_weights(states)
+    return [_machine_sample(state, *args)[1] for state, args in zip(states, args_list)]
+
+
+def _machines_stats(
+    states: list[dict], args_list: list[tuple]
+) -> list[tuple[float, int]]:
+    (witness,) = args_list[0]
+    if any(args[0] is not witness for args in args_list):
+        return [_machine_stats(state, *args)[1] for state, args in zip(states, args_list)]
+    _refresh_weights(states)
+    problem = states[0]["problem"]
+    indices, segments = _segments(states)
+    with kernels.use_backend(states[0].get("kernel")):
+        mask = problem.violation_sweep(witness, None, need_total=False).mask[indices]
+        # Sum each machine's violated weights the way its own sweep would:
+        # the active backend's way, or the scalar fallback's way when the
+        # problem has no packed plane for this witness.
+        packed = (
+            problem.constraint_pack() is not None
+            and problem.encode_witness(witness) is not None
+        )
+        backend = kernels.active_backend() if packed else kernels.get_backend("numpy")
+    results = []
+    for state, (start, stop) in zip(states, segments):
+        segment = mask[start:stop]
+        count = int(np.count_nonzero(segment))
+        violated = backend.masked_sum(state["weights"], segment) if count else 0.0
+        results.append((float(violated), count))
+    return results
+
+
+# ``_machine_store_witness`` has no batched form: it does no kernel work, so
+# the transport's per-node loop (one list append per machine) is already it.
+_machine_weight_total.batched = _machines_weight_total
+_machine_sample.batched = _machines_sample
+_machine_stats.batched = _machines_stats
 
 
 class _MPCState:
@@ -258,15 +380,17 @@ class TreeRoundSampling(SamplingStrategy):
         blocks = topology.run_all(
             _machine_sample, [(sample_size, total_weight)] * k
         )
-        sampled: set[int] = set()
+        sampled = []
         for machine_id, block in enumerate(blocks):
             if block is None:
                 continue
             if machine_id != _COORDINATOR:
                 block = topology.send(machine_id, _COORDINATOR, block)
-            sampled.update(int(i) for i in block.indices)
+            sampled.append(np.asarray(block.indices, dtype=int))
         topology.end_round()
-        return np.asarray(sorted(sampled), dtype=int)
+        if not sampled:
+            return np.empty(0, dtype=int)
+        return np.unique(np.concatenate(sampled))
 
 
 class TreeImplicitSubstrate(WeightSubstrate):

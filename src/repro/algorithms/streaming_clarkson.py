@@ -263,31 +263,30 @@ def _streaming_clarkson_solve(
 
     backend = kernels.resolve_backend_name(config.kernel_backend)
     with kernels.use_backend(backend):
-        sample_size, epsilon = resolve_sampling(problem, config)
-        if sample_size >= n:
-            # The sample would contain the whole stream: one pass, full storage.
-            topology.record_pass()
-            result = solve_small_problem(problem)
-            result.resources.passes = topology.passes
-            result.resources.space_peak_items = n
-            result.resources.space_peak_bits = n * bit_size
-            result.resources.per_round = topology.ledger.as_table()
-            result.metadata.update(
-                {
-                    "algorithm": "streaming_clarkson",
-                    "r": config.r,
-                    "kernel_backend": backend,
-                }
-            )
-            result.warm = _warm_stats(warm_witnesses, [])
-            return result
-
-        boost = config.boost if config.boost is not None else boost_factor(n, config.r)
+        # Every path, the whole-stream one included, runs inside the
+        # try/finally that guarantees topology.close(): a run-private
+        # process pool must not outlive the run, whichever way it ends.
         try:
-            # State installation already talks to the transport (sharing the
-            # problem, shipping the reader state), so it runs inside the same
-            # try/finally that guarantees topology.close() — a run-private
-            # process pool must not leak when installation fails.
+            sample_size, epsilon = resolve_sampling(problem, config)
+            if sample_size >= n:
+                # The sample would contain the whole stream: one pass, full storage.
+                topology.record_pass()
+                result = solve_small_problem(problem)
+                result.resources.passes = topology.passes
+                result.resources.space_peak_items = n
+                result.resources.space_peak_bits = n * bit_size
+                result.resources.per_round = topology.ledger.as_table()
+                result.metadata.update(
+                    {
+                        "algorithm": "streaming_clarkson",
+                        "r": config.r,
+                        "kernel_backend": backend,
+                    }
+                )
+                result.warm = _warm_stats(warm_witnesses, [])
+                return result
+
+            boost = config.boost if config.boost is not None else boost_factor(n, config.r)
             state = _StreamingState(
                 problem=problem,
                 topology=topology,

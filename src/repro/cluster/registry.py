@@ -12,7 +12,8 @@ node agents.  Structure:
   ``("hb", seq)`` frames feed the :class:`HeartbeatMonitor`, everything
   else is an RPC reply pushed onto the member's FIFO reply queue.  Replies
   arrive in request order because the agent's command loop is
-  single-threaded and :meth:`request` serializes requests per member;
+  single-threaded and each member's RPC lock (:meth:`lock`) is held
+  across every ``post``/``take`` pair;
 * one **monitor thread** sweeps :meth:`HeartbeatMonitor.evaluate`; a member
   that newly dies (heartbeat expiry, registration timeout, or socket loss)
   has its socket closed, which unblocks its reader and pushes a dead
@@ -71,7 +72,7 @@ class Member:
         self.name = str(info.get("name", member_id))
         self.pid = int(info.get("pid", 0))
         self.replies: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
-        self.rpc_lock = threading.RLock()
+        self.rpc_lock = threading.Lock()
         self.failed = False
         self.fail_reason = ""
         self.reader: Optional[threading.Thread] = None
@@ -244,7 +245,7 @@ class ClusterRegistry:
             raise MemberDead(member_id, "unknown member")
         return member
 
-    def lock(self, member_id: str) -> threading.RLock:
+    def lock(self, member_id: str) -> threading.Lock:
         """The member's RPC lock — hold it across a ``post``/``take`` pair."""
         return self._member(member_id).rpc_lock
 
@@ -272,13 +273,6 @@ class ClusterRegistry:
             member.replies.put(_DEAD)
             raise MemberDead(member_id, member.fail_reason or "dead")
         return reply
-
-    def request(self, member_id: str, message: tuple, *, timeout: Optional[float] = None) -> Any:
-        """Send one command frame and return its reply, in request order."""
-        member = self._member(member_id)
-        with member.rpc_lock:
-            self.post(member_id, message)
-            return self.take(member_id, timeout=timeout)
 
     # -- introspection -----------------------------------------------------
 
@@ -322,7 +316,9 @@ class ClusterRegistry:
         for member in members:
             if not member.failed:
                 try:
-                    self.request(member.member_id, ("stop",), timeout=5.0)
+                    with member.rpc_lock:
+                        self.post(member.member_id, ("stop",))
+                        self.take(member.member_id, timeout=5.0)
                 except MemberDead:
                     pass
             member.conn.close()

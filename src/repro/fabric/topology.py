@@ -444,12 +444,17 @@ class GridTopology(Topology):
 
     def send(self, source: int, destination: int, payload: Payload) -> Payload:
         """Record one point-to-point message this round; returns the delivery."""
+        return self._send_measured(source, destination, payload, self.measure(payload))
+
+    def _send_measured(
+        self, source: int, destination: int, payload: Payload, bits: int
+    ) -> Payload:
+        """:meth:`send` of a payload whose size ``bits`` is already measured."""
         if not self._round_open:
             raise CommunicationError("messages may only be sent inside an open round")
         for machine_id in (source, destination):
             if not 0 <= machine_id < self.num_nodes:
                 raise CommunicationError(f"machine {machine_id} does not exist")
-        bits = self.measure(payload)
         self._sent[source] += bits
         self._received[destination] += bits
         self._note_message(bits)
@@ -459,10 +464,15 @@ class GridTopology(Topology):
     # Collective primitives (Goodrich et al. [23])
     # ------------------------------------------------------------------ #
 
+    # A collective sends one payload on every edge, so it measures the
+    # payload once and charges that size per edge; each edge still counts as
+    # its own message (budget meter, load, ledger) and is delivered on its own.
+
     def broadcast_tree(self, root: int, payload: Payload, fanout: int) -> int:
         """Fan-out broadcast from ``root``; returns the rounds used."""
         if fanout < 2:
             raise ValueError("fanout must be >= 2")
+        bits = self.measure(payload)
         informed = {root}
         rounds_used = 0
         while len(informed) < self.num_nodes:
@@ -476,7 +486,7 @@ class GridTopology(Topology):
                         target = next(slots)
                     except StopIteration:
                         break
-                    self.send(sender, target, payload)
+                    self._send_measured(sender, target, payload, bits)
                     newly_informed.add(target)
             informed |= newly_informed
             self.end_round()
@@ -499,6 +509,7 @@ class GridTopology(Topology):
         """
         if fanout < 2:
             raise ValueError("fanout must be >= 2")
+        bits = self.measure(payload)
         active = list(range(self.num_nodes))
         partials = list(values) if values is not None else [None] * self.num_nodes
         rounds_used = 0
@@ -511,7 +522,7 @@ class GridTopology(Topology):
                 for member in group:
                     if member == head:
                         continue
-                    self.send(member, head, payload)
+                    self._send_measured(member, head, payload, bits)
                     if combine is not None:
                         partials[head] = combine(partials[head], partials[member])
                 survivors.append(head)
@@ -521,7 +532,7 @@ class GridTopology(Topology):
         final_holder = active[0]
         if final_holder != root and self.num_nodes > 1:
             self.begin_round()
-            self.send(final_holder, root, payload)
+            self._send_measured(final_holder, root, payload, bits)
             if values is not None:
                 partials[root] = partials[final_holder]
             self.end_round()

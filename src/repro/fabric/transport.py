@@ -7,7 +7,8 @@ work by handing the transport a **top-level function** ``fn(state, *args) ->
 (state, result)``.  The implementations:
 
 * :class:`InProcessTransport` — the default simulator: states in a dict,
-  tasks run inline in deterministic node order, payloads delivered zero-copy.
+  tasks run inline in deterministic node order (or once over all listed
+  states, for a task with a ``batched`` form), payloads delivered zero-copy.
 * :class:`JournaledTransport` — node states held by remote
   :class:`~repro.fabric.runtime.NodeRuntime` programs behind one
   :class:`Channel` per node slot, with journal-replay recovery.  Its
@@ -107,6 +108,14 @@ class Transport:
     top-level function with signature ``fn(state, *args) -> (state, result)``;
     the transport stores the returned state for the next call on that node.
 
+    A task may also carry a vectorised form as its ``batched`` attribute:
+    ``fn.batched(states, args_list) -> results`` updates the listed node
+    states in place and returns exactly the results, and leaves exactly the
+    states, that ``fn`` would have node by node.  Only
+    :class:`InProcessTransport`, which holds every state locally, calls it;
+    remote transports ship ``fn`` by reference and run the per-node form in
+    their workers, so ``fn`` stays the reference semantics.
+
     ``private`` marks a transport owned by a single run: the topology that
     holds it calls :meth:`close` when the run ends (shared pools stay up).
     """
@@ -184,6 +193,13 @@ class InProcessTransport(Transport):
         self._states[(session, node_id)] = _resolve_shared(state, self._shared, session)
 
     def run_nodes(self, session, node_ids, fn, args_list):
+        batched = getattr(fn, "batched", None)
+        if batched is not None and len(node_ids) > 0:
+            # All listed states are local: one vectorised call serves them.
+            return batched(
+                [self._states[(session, node_id)] for node_id in node_ids],
+                list(args_list),
+            )
         results = []
         for node_id, args in zip(node_ids, args_list):
             key = (session, node_id)

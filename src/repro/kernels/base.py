@@ -128,6 +128,16 @@ class KernelBackend(abc.ABC):
         """
 
     @abc.abstractmethod
+    def masked_sum(self, weights: np.ndarray, mask: np.ndarray) -> float:
+        """The violated-weight sum :meth:`sweep` reports for ``weights`` over ``mask``.
+
+        Accumulates in exactly the sweep's order, so a caller that sweeps
+        the concatenation of several row segments once can recover each
+        segment's ``violated_weight`` bit for bit from the segment's slice
+        of the mask (``mask`` is the sweep's mask over the same rows).
+        """
+
+    @abc.abstractmethod
     def count_matrix(
         self,
         pack: Any,

@@ -88,6 +88,16 @@ def _band_gamma(num_coefficients: int) -> np.float32:
     return np.float32((4.0 * max(1, num_coefficients) + 64.0) * 2.0**-23)
 
 
+def _block_masked_sum(w_blk: np.ndarray, mask_blk: np.ndarray) -> float:
+    """One block's violated weight, the term :meth:`FusedBackend.sweep` adds.
+
+    ``where=`` sums the masked weights without materialising the gathered
+    subset (same elements, pairwise order differs — the sanctioned sum
+    exception).
+    """
+    return float(np.sum(w_blk, where=mask_blk))
+
+
 class FusedBackend(KernelBackend):
     """Blocked sweeps; ``use_float32`` switches on the certified-fp32 margin pass."""
 
@@ -250,10 +260,7 @@ class FusedBackend(KernelBackend):
             else:
                 w_blk = w_scratch if logw is not None else w[blk]
                 if blk_count:
-                    # where= sums the masked weights without materialising
-                    # the gathered subset (same elements, pairwise order
-                    # differs — the sanctioned sum exception).
-                    violated += float(np.sum(w_blk, where=mask_blk))
+                    violated += _block_masked_sum(w_blk, mask_blk)
                 if need_total:
                     total += float(w_blk.sum())
         return SweepStats(
@@ -262,6 +269,15 @@ class FusedBackend(KernelBackend):
             violated_weight=violated,
             total_weight=total if need_total else None,
         )
+
+    def masked_sum(self, weights: np.ndarray, mask: np.ndarray) -> float:
+        # The sweep's accumulation: one term per block that has a violator.
+        violated = 0.0
+        for start in range(0, mask.size, BLOCK_ROWS):
+            blk = slice(start, start + BLOCK_ROWS)
+            if mask[blk].any():
+                violated += _block_masked_sum(weights[blk], mask[blk])
+        return violated
 
     def count_matrix(
         self, pack: Any, vecs: np.ndarray, offsets: np.ndarray, sel

@@ -153,6 +153,12 @@ class NumbaBackend(FusedBackend):  # pragma: no cover - optional accelerator
             total_weight=float(total) if need_total else None,
         )
 
+    def masked_sum(self, weights: np.ndarray, mask: np.ndarray) -> float:
+        # The JIT sweep adds violated weights one by one in row order, which
+        # is exactly what a cumulative sum does.
+        chosen = np.asarray(weights, dtype=np.float64)[mask]
+        return float(np.cumsum(chosen)[-1]) if chosen.size else 0.0
+
     def count_matrix(
         self, pack: Any, vecs: np.ndarray, offsets: np.ndarray, sel
     ) -> np.ndarray:

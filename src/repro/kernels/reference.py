@@ -57,11 +57,14 @@ class NumpyBackend(KernelBackend):
             violated = float(count)
             total = float(mask.size) if need_total else None
         else:
-            violated = float(weights[mask].sum())
+            violated = self.masked_sum(weights, mask)
             total = float(weights.sum()) if need_total else None
         return SweepStats(
             mask=mask, count=count, violated_weight=violated, total_weight=total
         )
+
+    def masked_sum(self, weights: np.ndarray, mask: np.ndarray) -> float:
+        return float(weights[mask].sum())
 
     def count_matrix(
         self, pack: Any, vecs: np.ndarray, offsets: np.ndarray, sel

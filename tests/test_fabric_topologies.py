@@ -7,8 +7,10 @@ import pytest
 
 from repro import CoordinatorConfig, solve
 from repro.core.accounting import BitCostModel
-from repro.core.exceptions import CommunicationError
-from repro.fabric.payload import Scalar, Vector
+from repro.core.budget import ResourceBudget, metered
+from repro.core.exceptions import BudgetExceededError, CommunicationError
+from repro.fabric.payload import Scalar, StatsBlock, Vector
+from repro.resilience.faults import FaultPlan, FaultSpec, fault_injection
 from repro.fabric.topology import GridTopology, StarTopology, StreamTopology, TreeTopology
 from repro.workloads import random_feasible_lp
 
@@ -123,6 +125,79 @@ class TestGridTopology:
         )
         assert total == 15
         assert rounds >= 2
+
+
+class _SendPerEdgeGrid(GridTopology):
+    """Reference grid whose collectives measure the payload on every edge,
+    exactly as one :meth:`GridTopology.send` per edge would."""
+
+    def _send_measured(self, source, destination, payload, bits):
+        return super()._send_measured(source, destination, payload, self.measure(payload))
+
+
+def _counting_measures(grid):
+    calls = []
+    measure = grid.measure
+
+    def counted(payload):
+        calls.append(payload)
+        return measure(payload)
+
+    grid.measure = counted
+    return calls
+
+
+def _run_collectives(grid, fanout):
+    k = grid.num_machines
+    grid.broadcast_tree(0, Vector(np.arange(7.0)), fanout)
+    _, total = grid.aggregate_tree(
+        0, Scalar(0.0), fanout, values=list(range(k)), combine=lambda a, b: a + b
+    )
+    # A root outside the first group adds the final-holder hop.
+    _, stats = grid.aggregate_tree(
+        k - 1, StatsBlock(np.zeros(2)), fanout, values=[(1.0, 1)] * k,
+        combine=lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    )
+    return total, stats
+
+
+class TestMeasureOnceCollectives:
+    """Collectives measure their payload once and charge that size per edge."""
+
+    @pytest.mark.parametrize("k, fanout", [(1, 2), (2, 2), (9, 3), (23, 4), (224, 15)])
+    def test_charges_equal_one_send_per_edge(self, k, fanout):
+        grids = GridTopology(k), _SendPerEdgeGrid(k)
+        measures = [_counting_measures(grid) for grid in grids]
+        outcomes = [_run_collectives(grid, fanout) for grid in grids]
+        once, per_edge = grids
+        assert outcomes[0] == outcomes[1] == (k * (k - 1) // 2, (float(k), k))
+        assert once.ledger.as_table() == per_edge.ledger.as_table()
+        for currency in ("rounds", "total_bits", "max_message_bits", "max_load_bits"):
+            assert getattr(once, currency) == getattr(per_edge, currency), currency
+        assert len(measures[0]) == 3  # one per collective ...
+        assert len(measures[1]) == 3 + 3 * (k - 1)  # ... instead of one per edge
+
+    def test_bits_budget_trips_inside_the_collective(self):
+        tripped = []
+        for grid in (GridTopology(23), _SendPerEdgeGrid(23)):
+            edge_bits = grid.measure(Vector(np.arange(7.0)))
+            budget = ResourceBudget(communication_bits=10 * edge_bits + 1)
+            with metered(budget) as meter:
+                with pytest.raises(BudgetExceededError):
+                    grid.broadcast_tree(0, Vector(np.arange(7.0)), fanout=4)
+            tripped.append((meter.communication_bits, grid.total_bits))
+        # Both trip on the eleventh edge, with the same bits charged.
+        assert tripped[0] == tripped[1]
+        assert tripped[0][0] == 11 * edge_bits
+
+    def test_fault_plan_sees_one_delivery_per_edge(self):
+        plan = FaultPlan([FaultSpec("message_delay", at=1, count=10**6)])
+        grid = GridTopology(23)
+        with fault_injection(plan):
+            grid.broadcast_tree(0, Vector(np.arange(7.0)), fanout=4)
+            grid.aggregate_tree(0, Scalar(0.0), fanout=4)
+        delivered = [fired for fired in plan.fired if fired[0] == "deliver"]
+        assert len(delivered) == 2 * 22
 
 
 class TestStreamTopology:

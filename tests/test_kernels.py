@@ -17,6 +17,7 @@ import pytest
 from repro import SolverConfig, kernels, solve, solve_many
 from repro.api.registry import describe_model
 from repro.core.lptype import ConstraintPack, as_index_array, _as_selector
+from repro.kernels.base import BLOCK_ROWS
 from repro.problems.meb import MinimumEnclosingBall
 from repro.problems.qp import ConvexQuadraticProgram
 from repro.workloads import (
@@ -208,6 +209,27 @@ def test_solve_many_batched_matches_looped(backend):
         got = kernels.get_backend(backend).solve_many(mats, rhs)
         assert got.shape == (batch, m)
         assert np.array_equal(got, ref), (backend, batch, m)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_masked_sum_matches_the_sweep(backend):
+    """``masked_sum`` is bit-identical to the sweep's own violated weight, so
+    one sweep over many machines' rows yields each machine's exact sum from
+    its slice of the mask — across a block boundary too."""
+    rng = np.random.default_rng(29)
+    n, d = BLOCK_ROWS + 4_321, 3
+    pack = ConstraintPack(
+        rows=rng.normal(size=(n, d)), rhs=rng.normal(size=n), limit=1e-9, sense=1
+    )
+    encoded = (rng.normal(size=d), 0.0)
+    weights = rng.uniform(0.1, 5.0, size=n)
+    alt = kernels.get_backend(backend)
+    with kernels.use_backend(backend):
+        for indices in (None, np.arange(0, n, 5), np.arange(7, 40), np.array([], dtype=int)):
+            w = weights if indices is None else weights[indices]
+            stats = pack.sweep(encoded, indices, weights=w, need_total=False)
+            assert stats.count > 0 or w.size == 0
+            assert alt.masked_sum(w, stats.mask) == stats.violated_weight
 
 
 @pytest.mark.parametrize("backend", ALTERNATES)

@@ -154,3 +154,53 @@ class TestTraceConsistency:
             seed=13,
         )
         assert result.trace == []
+
+
+class TestTransportLifecycle:
+    def test_whole_stream_path_closes_its_private_pool(self, monkeypatch):
+        """The ``sample_size >= n`` path tears down a run-private pool too.
+
+        ``repro.solve`` runs inside a session that owns the pool, so the
+        model's runner is called directly here: that is where a driver
+        resolves, and must close, a dedicated ``reuse_pool=False`` pool.
+        """
+        import multiprocessing
+
+        from repro import TransportConfig
+        from repro.algorithms import streaming_clarkson
+        from repro.api.config import StreamingConfig
+        from repro.api.registry import get_model
+        from repro.core.exceptions import CommunicationError
+
+        resolved = []
+        workers = set()
+
+        def recording_resolve(config):
+            # Start the pool's workers up front (the whole-stream path may
+            # never touch them) so that closing the pool has workers to stop.
+            before = set(multiprocessing.active_children())
+            transport = real_resolve(config)
+            transport.warm_up()
+            workers.update(set(multiprocessing.active_children()) - before)
+            resolved.append(transport)
+            return transport
+
+        real_resolve = streaming_clarkson.resolve_transport
+        monkeypatch.setattr(streaming_clarkson, "resolve_transport", recording_resolve)
+        problem = random_feasible_lp(30, 2, seed=3).problem
+        config = StreamingConfig(
+            seed=3,
+            transport=TransportConfig(kind="process", max_workers=1, reuse_pool=False),
+        )
+        result = get_model("streaming").runner(problem, config)
+        assert result.resources.passes == 1  # the whole-stream path ran
+        (transport,) = resolved
+        assert transport.private
+        try:
+            assert workers, "the pool started no worker process"
+            alive = [worker for worker in workers if worker.is_alive()]
+            assert alive == [], "the run left its private pool's workers running"
+            with pytest.raises(CommunicationError, match="closed"):
+                transport.init_node("after-the-run", 0, {})
+        finally:
+            transport.close()
